@@ -21,20 +21,10 @@
 //! `cores` field records how much hardware parallelism the machine actually
 //! had — speedups are only meaningful when `cores` covers the thread count.
 
-use bench_suite::Scale;
+use bench_suite::{flag_value, report_fingerprint, Scale};
 use netprofiler::AnalysisConfig;
 use std::time::Instant;
 use workload::run_experiment;
-
-/// FNV-1a, enough to fingerprint a rendered report for equality checking.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn parse_thread_list(s: &str) -> Option<Vec<usize>> {
     let mut list = Vec::new();
@@ -59,17 +49,9 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale {v:?} (quick|stress|repro|paper)");
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            "--out" => {
-                out_path = args.next().map(std::path::PathBuf::from).or(out_path);
-            }
+            "--scale" => scale = flag_value(&mut args, "--scale"),
+            "--seed" => seed = flag_value(&mut args, "--seed"),
+            "--out" => out_path = Some(flag_value(&mut args, "--out")),
             "--sweep" => sweep = true,
             "--threads" => {
                 let v = args.next().unwrap_or_default();
@@ -92,12 +74,7 @@ fn main() {
         }
     }
 
-    let scale_name = match scale {
-        Scale::Quick => "quick",
-        Scale::Stress => "stress",
-        Scale::Reproduction => "repro",
-        Scale::Paper => "paper",
-    };
+    let scale_name = scale.name();
 
     if sweep {
         run_sweep(
@@ -200,7 +177,7 @@ fn run_sweep(
         // Render every table/figure and fingerprint the whole report: the
         // determinism guarantee is that this hash matches at every count.
         let rendered = report::render_all(&out.dataset, acfg, seed);
-        let fingerprint = fnv1a(rendered.as_bytes());
+        let fingerprint = report_fingerprint(&rendered);
         eprintln!(
             "  threads {t}: sim {sim:.2}s, analysis {analysis:.2}s \
              ({} txns, {} blame-attributed conn-hours, report hash {fingerprint:016x})",

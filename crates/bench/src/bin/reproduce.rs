@@ -23,7 +23,7 @@
 //! episodes table6 table7 table8 replicas bgp fig5 fig6 fig7 table9 pairs
 //! medians loss digcheck compare. Default: all of them.
 
-use bench_suite::Scale;
+use bench_suite::{flag_value, Scale};
 use netprofiler::{Analysis, AnalysisConfig};
 use report::render;
 use std::time::Instant;
@@ -41,20 +41,8 @@ fn main() {
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--html" => {
-                html_path = args.next().map(std::path::PathBuf::from);
-                if html_path.is_none() {
-                    eprintln!("--html needs a file path");
-                    std::process::exit(2);
-                }
-            }
-            "--bench-dir" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("--bench-dir needs a directory");
-                    std::process::exit(2);
-                };
-                bench_dir = std::path::PathBuf::from(dir);
-            }
+            "--html" => html_path = Some(flag_value(&mut args, "--html")),
+            "--bench-dir" => bench_dir = flag_value(&mut args, "--bench-dir"),
             "--profile" => {
                 // Optional DIR operand: consume the next arg unless it is a flag.
                 let dir = match args.peek() {
@@ -63,37 +51,12 @@ fn main() {
                 };
                 profile_dir = Some(std::path::PathBuf::from(dir));
             }
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale {v:?} (quick|stress|repro|paper)");
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed needs an integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--export" => {
-                export_dir = args.next().map(std::path::PathBuf::from);
-                if export_dir.is_none() {
-                    eprintln!("--export needs a directory");
-                    std::process::exit(2);
-                }
-            }
+            "--scale" => scale = flag_value(&mut args, "--scale"),
+            "--seed" => seed = flag_value(&mut args, "--seed"),
+            "--export" => export_dir = Some(flag_value(&mut args, "--export")),
             "--only" => {
-                only = Some(
-                    args.next()
-                        .unwrap_or_default()
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .collect(),
-                );
+                let ids: String = flag_value(&mut args, "--only");
+                only = Some(ids.split(',').map(|s| s.trim().to_string()).collect());
             }
             "--help" | "-h" => {
                 println!(
@@ -116,10 +79,9 @@ fn main() {
 
     let mut config = scale.config(seed);
     if html_path.is_some() {
-        // The flight recorder and the forensic tracer are both proven
-        // zero-perturbation (audit --check, explain --check), so the page's
-        // audit section and trace waterfalls ride along without changing
-        // the dataset or the text output.
+        // Truth capture is proven zero-perturbation (detcheck's matrix), so
+        // the page's audit section and trace waterfalls ride along without
+        // changing the dataset or the text output.
         config.record_provenance = true;
         config.forensics = Some(workload::ForensicsConfig::default());
     }
@@ -232,15 +194,6 @@ fn main() {
     }
 }
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Quick => "quick",
-        Scale::Stress => "stress",
-        Scale::Reproduction => "repro",
-        Scale::Paper => "paper",
-    }
-}
-
 /// Assemble and write the self-contained HTML page plus `manifest.json`.
 #[allow(clippy::too_many_arguments)]
 fn write_html_report(
@@ -253,7 +206,7 @@ fn write_html_report(
     scale: Scale,
     seed: u64,
 ) -> std::io::Result<()> {
-    let manifest = bench_suite::manifest_for(out, config, scale_name(scale), seed);
+    let manifest = bench_suite::manifest_for(out, config, scale.name(), seed);
     let snapshot = telemetry::snapshot();
     let stage_profile = snapshot.stage_profile();
 

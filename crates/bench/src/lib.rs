@@ -2,7 +2,7 @@
 
 use model::Dataset;
 use netprofiler::Analysis;
-use workload::{run_experiment, ExperimentConfig, ExperimentOutput};
+use workload::{ExperimentConfig, ExperimentOutput};
 
 /// Named experiment scales for the harness.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -31,6 +31,16 @@ impl Scale {
         }
     }
 
+    /// The canonical command-line spelling; `parse` accepts it back.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Stress => "stress",
+            Scale::Reproduction => "repro",
+            Scale::Paper => "paper",
+        }
+    }
+
     pub fn config(self, seed: u64) -> ExperimentConfig {
         match self {
             Scale::Quick => ExperimentConfig::quick(seed),
@@ -41,33 +51,38 @@ impl Scale {
     }
 }
 
-/// Run an experiment at the given scale and return its dataset.
-pub fn dataset_at(scale: Scale, seed: u64) -> Dataset {
-    run_experiment(&scale.config(seed)).dataset
+pub use netsim::Fnv;
+
+/// Parse the value that follows `flag` on the command line, or exit 2
+/// naming the flag: a missing or malformed value is never silently
+/// replaced by the default.
+pub fn flag_value<T>(args: &mut impl Iterator<Item = String>, flag: &str) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    parse_flag(flag, args.next()).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
 }
 
-/// Streaming FNV-1a hasher over formatted text, shared by the harness
-/// binaries for dataset fingerprints and config digests.
-pub struct Fnv(u64);
-
-impl Fnv {
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
+fn parse_flag<T>(flag: &str, value: Option<String>) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|e| format!("{flag}: bad value {value:?} ({e})"))
 }
 
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
+impl std::str::FromStr for Scale {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Scale, Self::Err> {
+        Scale::parse(s).ok_or("want quick|stress|repro|paper")
     }
 }
 
@@ -78,6 +93,14 @@ pub fn dataset_fingerprint(ds: &Dataset) -> u64 {
     use std::fmt::Write as _;
     let mut h = Fnv::new();
     write!(h, "{ds:?}").expect("hashing cannot fail");
+    h.finish()
+}
+
+/// Hash a rendered report: the "report hash" the gates print.
+pub fn report_fingerprint(rendered: &str) -> u64 {
+    use std::fmt::Write as _;
+    let mut h = Fnv::new();
+    h.write_str(rendered).expect("hashing cannot fail");
     h.finish()
 }
 
@@ -232,6 +255,30 @@ mod tests {
         assert_eq!(Scale::parse("repro"), Some(Scale::Reproduction));
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("nope"), None);
+    }
+
+    #[test]
+    fn scale_names_round_trip() {
+        for s in [Scale::Quick, Scale::Stress, Scale::Reproduction, Scale::Paper] {
+            assert_eq!(Scale::parse(s.name()), Some(s));
+        }
+    }
+
+    #[test]
+    fn flag_values_parse_or_name_the_flag() {
+        assert_eq!(parse_flag::<u64>("--seed", Some("7".into())), Ok(7));
+        assert_eq!(
+            parse_flag::<Scale>("--scale", Some("stress".into())),
+            Ok(Scale::Stress)
+        );
+        let missing = parse_flag::<u64>("--seed", None).unwrap_err();
+        assert_eq!(missing, "--seed needs a value");
+        let bad = parse_flag::<usize>("--threads", Some("x".into())).unwrap_err();
+        assert!(bad.starts_with("--threads: bad value \"x\""), "{bad}");
+        let bad = parse_flag::<f64>("--min-agreement", Some("oops".into())).unwrap_err();
+        assert!(bad.starts_with("--min-agreement: bad value \"oops\""), "{bad}");
+        let bad = parse_flag::<Scale>("--scale", Some("huge".into())).unwrap_err();
+        assert!(bad.contains("quick|stress|repro|paper"), "{bad}");
     }
 
     #[test]

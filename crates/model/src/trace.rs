@@ -2,10 +2,11 @@
 //!
 //! A [`TxnTrace`] is an ordered list of [`TraceEvent`]s — every DNS attempt,
 //! TCP connect, and HTTP exchange of one transaction — each stamped with the
-//! ground-truth [`FaultSet`] active at that instant. Capture reuses the
-//! flight-recorder probes (pure timeline lookups, no RNG), so a traced run
-//! is bit-identical to an untraced one; the trace rides beside the dataset
-//! like the [`ProvenanceLog`](crate::ProvenanceLog) sidecar does.
+//! ground-truth [`FaultSet`] active at that instant. The trace is the one
+//! truth-capture primitive: capture reads pure timeline probes (no RNG), so
+//! a traced run is bit-identical to an untraced one, and each
+//! [`ProvenanceLog`](crate::ProvenanceLog) stamp is a projection of a trace
+//! (`ProvenanceRecord::from(&trace)`).
 //!
 //! A [`TraceExemplar`] is one sampled trace plus the identifiers needed to
 //! find the record it explains. The workload's tail-sampling store keeps a
@@ -14,7 +15,7 @@
 //! forensics stay affordable at millions of transactions.
 
 use crate::failure::{DnsFailureKind, TcpFailureKind};
-use crate::provenance::FaultSet;
+use crate::provenance::{FaultSet, ProvenanceRecord};
 use crate::time::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
@@ -113,6 +114,27 @@ impl TxnTrace {
         self.events
             .iter()
             .fold(FaultSet::EMPTY, |acc, e| acc | e.truth())
+    }
+}
+
+impl From<&TxnTrace> for ProvenanceRecord {
+    /// Project a trace onto the sidecar's two-phase stamp. DNS events and
+    /// HTTP events (whose truth is non-empty only for a proxied fetch's
+    /// vantage) carry DNS-phase truth, and so does a connect toward
+    /// `0.0.0.0`: the synthetic attempt of a proxied client whose corporate
+    /// link is down. Only connects toward a real replica stamp the connect
+    /// phase — so proxied records stamp the DNS phase only.
+    fn from(trace: &TxnTrace) -> ProvenanceRecord {
+        let mut stamp = ProvenanceRecord::default();
+        for event in &trace.events {
+            match event {
+                TraceEvent::Connect { replica, truth, .. } if !replica.is_unspecified() => {
+                    stamp.connect |= *truth;
+                }
+                _ => stamp.dns |= event.truth(),
+            }
+        }
+        stamp
     }
 }
 
@@ -219,6 +241,79 @@ mod tests {
         };
         assert_eq!(trace.truth(), FaultSet::LDNS_DOWN | FaultSet::SERVER_DEGRADED);
         assert_eq!(TxnTrace::default().truth(), FaultSet::EMPTY);
+    }
+
+    fn connect(replica: Ipv4Addr, truth: FaultSet) -> TraceEvent {
+        TraceEvent::Connect {
+            replica,
+            at: SimTime::from_secs(11),
+            elapsed: SimDuration::from_millis(200),
+            outcome: Ok(()),
+            syn_retransmissions: 0,
+            truth,
+        }
+    }
+
+    fn http(status: u16, redirect: Option<&str>, truth: FaultSet) -> TraceEvent {
+        TraceEvent::Http {
+            host: "www.example.com".to_string(),
+            at: SimTime::from_secs(12),
+            status,
+            redirect: redirect.map(str::to_string),
+            truth,
+        }
+    }
+
+    fn stamp(events: Vec<TraceEvent>) -> ProvenanceRecord {
+        ProvenanceRecord::from(&TxnTrace { events })
+    }
+
+    #[test]
+    fn redirect_chain_unions_both_dns_hops_and_every_connect() {
+        // Initial lookup, connect, redirect, second lookup, connect, landing.
+        let got = stamp(vec![
+            dns(None, FaultSet::LDNS_DOWN),
+            connect(Ipv4Addr::new(10, 0, 0, 1), FaultSet::SERVER_DEGRADED),
+            http(301, Some("example.com"), FaultSet::EMPTY),
+            dns(None, FaultSet::ZONE_ERROR),
+            connect(Ipv4Addr::new(10, 0, 0, 2), FaultSet::REPLICA_DOWN),
+            http(200, None, FaultSet::EMPTY),
+        ]);
+        assert_eq!(got.dns, FaultSet::LDNS_DOWN | FaultSet::ZONE_ERROR);
+        assert_eq!(got.connect, FaultSet::SERVER_DEGRADED | FaultSet::REPLICA_DOWN);
+    }
+
+    #[test]
+    fn direct_http_event_carries_empty_truth() {
+        let got = stamp(vec![
+            dns(None, FaultSet::EMPTY),
+            connect(Ipv4Addr::new(10, 0, 0, 1), FaultSet::BLOCKED_PAIR),
+            http(503, None, FaultSet::EMPTY),
+        ]);
+        assert_eq!(got.dns, FaultSet::EMPTY);
+        assert_eq!(got.connect, FaultSet::BLOCKED_PAIR);
+    }
+
+    #[test]
+    fn proxied_http_event_stamps_the_dns_phase_only() {
+        let vantage = FaultSet::PROXY_LINK | FaultSet::SERVER_DEGRADED;
+        let got = stamp(vec![http(504, None, vantage)]);
+        assert_eq!(got.dns, vantage);
+        assert_eq!(got.connect, FaultSet::EMPTY);
+    }
+
+    #[test]
+    fn dead_link_connect_to_unspecified_stamps_the_dns_phase() {
+        let got = stamp(vec![TraceEvent::Connect {
+            replica: Ipv4Addr::UNSPECIFIED,
+            at: SimTime::from_secs(10),
+            elapsed: SimDuration::ZERO,
+            outcome: Err(TcpFailureKind::NoConnection),
+            syn_retransmissions: 0,
+            truth: FaultSet::LAST_MILE,
+        }]);
+        assert_eq!(got.dns, FaultSet::LAST_MILE);
+        assert_eq!(got.connect, FaultSet::EMPTY);
     }
 
     #[test]

@@ -25,5 +25,5 @@ pub mod timeline;
 
 pub use engine::Scheduler;
 pub use process::{OnOffProcess, PoissonProcess};
-pub use rng::SimRng;
+pub use rng::{Fnv, SimRng};
 pub use timeline::Timeline;

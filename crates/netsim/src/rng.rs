@@ -34,14 +34,37 @@ fn mix(a: u64, b: u64) -> u64 {
     splitmix64(&mut s)
 }
 
-/// FNV-1a hash of a label, for string-named streams.
-fn fnv1a(label: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in label.as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(0x100_0000_01B3);
+/// Streaming 64-bit FNV-1a hasher over formatted text: string-named RNG
+/// streams, config digests, and dataset/report fingerprints all use it.
+///
+/// ```
+/// use std::fmt::Write as _;
+/// let mut h = netsim::Fnv::new();
+/// write!(h, "{}", "a").unwrap();
+/// assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[derive(Clone, Debug)]
+pub struct Fnv(u64);
+
+impl Fnv {
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
 /// A deterministic xoshiro256++ generator with hierarchical forking.
@@ -81,7 +104,10 @@ impl SimRng {
 
     /// Derive an independent child stream named by a string label.
     pub fn fork_str(&self, label: &str) -> SimRng {
-        self.fork(fnv1a(label))
+        use std::fmt::Write as _;
+        let mut h = Fnv::new();
+        h.write_str(label).expect("hashing cannot fail");
+        self.fork(h.finish())
     }
 
     /// Next raw 64-bit value (xoshiro256++).

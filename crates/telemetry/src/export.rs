@@ -33,25 +33,34 @@ pub struct HistogramSnap {
     pub name: String,
     pub count: u64,
     pub sum: u64,
+    /// Smallest and largest recorded sample (`u64::MAX` and 0 when empty).
+    pub min: u64,
+    pub max: u64,
     pub buckets: Vec<BucketSnap>,
 }
 
 impl HistogramSnap {
-    /// Upper-bound estimate of the `q`-quantile (`0 ≤ q ≤ 1`): the inclusive
-    /// top of the bucket the rank falls in (within 2× of the true value).
+    /// Estimate of the `q`-quantile (`0 ≤ q ≤ 1`). The fractional rank
+    /// `q·(count−1)` picks a bucket; within it the samples are taken to be
+    /// spread evenly over the bucket's range, narrowed to the recorded
+    /// `[min, max]`, and the estimate interpolates linearly to the rank.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
-        let rank = (q.clamp(0.0, 1.0) * (self.count - 1) as f64).floor() as u64;
-        let mut seen = 0u64;
+        let rank = q.clamp(0.0, 1.0) * (self.count - 1) as f64;
+        let mut before = 0u64;
         for b in &self.buckets {
-            seen += b.count;
-            if seen > rank {
-                return b.hi;
+            if (before + b.count) as f64 > rank {
+                let lo = b.lo.max(self.min);
+                let hi = b.hi.min(self.max).max(lo);
+                let width = (hi - lo) as f64 + 1.0;
+                let offset = ((rank - before as f64) / b.count as f64 * width) as u64;
+                return (lo + offset).min(hi);
             }
+            before += b.count;
         }
-        self.buckets.last().map(|b| b.hi).unwrap_or(0)
+        self.max
     }
 
     /// Mean sample value.
@@ -179,11 +188,11 @@ impl Snapshot {
             }
         }
         if !self.histograms.is_empty() {
-            out.push_str("histograms (log2 buckets; quantiles are upper bounds):\n");
+            out.push_str("histograms (log2 buckets; quantiles interpolated within a bucket):\n");
             for h in &self.histograms {
                 let _ = writeln!(
                     out,
-                    "  {}  n={} mean={:.1} p50<={} p95<={} p99<={}",
+                    "  {}  n={} mean={:.1} p50~{} p95~{} p99~{}",
                     h.name,
                     h.count,
                     h.mean(),
@@ -344,6 +353,8 @@ mod tests {
             name: "h".into(),
             count: counts.iter().map(|c| c.2).sum(),
             sum: 0,
+            min: counts.first().map_or(u64::MAX, |c| c.0),
+            max: counts.last().map_or(0, |c| c.1),
             buckets: counts
                 .iter()
                 .map(|&(lo, hi, count)| BucketSnap { lo, hi, count })
@@ -357,7 +368,8 @@ mod tests {
         assert_eq!(h.quantile(0.0), 0);
         assert_eq!(h.quantile(0.05), 0);
         assert_eq!(h.quantile(0.15), 1);
-        assert_eq!(h.quantile(0.5), 3);
+        // Rank 49.5 is sample 29.5 of the 80 spread over [2, 3].
+        assert_eq!(h.quantile(0.5), 2);
         assert_eq!(h.quantile(1.0), 3);
         assert_eq!(hist(&[]).quantile(0.5), 0);
     }
@@ -383,7 +395,7 @@ mod tests {
         assert_eq!(
             line,
             "{\"kind\":\"histogram\",\"name\":\"h\",\"count\":100,\"sum\":270,\
-             \"p50\":3,\"p95\":3,\"p99\":3,\"buckets\":[[0,0,10],[1,1,10],[2,3,80]]}\n"
+             \"p50\":2,\"p95\":3,\"p99\":3,\"buckets\":[[0,0,10],[1,1,10],[2,3,80]]}\n"
         );
     }
 

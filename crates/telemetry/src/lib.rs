@@ -180,6 +180,30 @@ mod tests {
     }
 
     #[test]
+    fn histogram_quantiles_track_exact_uniform_quantiles() {
+        let _g = guarded();
+        reset();
+        enable(true);
+        for v in 1..=100_000u64 {
+            histogram!("test.uniform.h", v);
+        }
+        enable(false);
+        let snap = snapshot();
+        let h = snap.histogram("test.uniform.h").expect("registered");
+        assert_eq!((h.min, h.max), (1, 100_000));
+        for q in [0.50, 0.95, 0.99] {
+            // Exact quantile at fractional rank q·(n−1) of 1..=100000.
+            let exact = 1.0 + q * 99_999.0;
+            let got = h.quantile(q) as f64;
+            assert!(
+                (got - exact).abs() <= 0.02 * exact,
+                "p{}: {got} vs exact {exact}",
+                q * 100.0
+            );
+        }
+    }
+
+    #[test]
     fn counters_are_thread_safe_and_exact() {
         let _g = guarded();
         reset();

@@ -239,11 +239,14 @@ impl Metric for Gauge {
 
 /// A log2-bucket histogram of `u64` samples (latencies in microseconds,
 /// sizes in bytes, …). Bucket 0 counts zeros; bucket `i` counts values in
-/// `[2^(i-1), 2^i)`, so quantile estimates are upper bounds within 2×.
+/// `[2^(i-1), 2^i)`. The smallest and largest samples are kept too, so
+/// quantile estimates interpolate within the occupied part of a bucket.
 pub struct Histogram {
     name: &'static str,
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
     registered: AtomicBool,
 }
 
@@ -253,6 +256,8 @@ impl Histogram {
             name,
             buckets: [ATOMIC_ZERO; BUCKETS],
             sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
             registered: AtomicBool::new(false),
         }
     }
@@ -269,6 +274,8 @@ impl Histogram {
             };
             self.buckets[idx].fetch_add(1, Relaxed);
             self.sum.fetch_add(v, Relaxed);
+            self.min.fetch_min(v, Relaxed);
+            self.max.fetch_max(v, Relaxed);
         }
     }
 }
@@ -289,6 +296,8 @@ impl Metric for Histogram {
             name: self.name.to_string(),
             count,
             sum: self.sum.load(Relaxed),
+            min: self.min.load(Relaxed),
+            max: self.max.load(Relaxed),
             buckets,
         });
     }
@@ -298,6 +307,8 @@ impl Metric for Histogram {
             b.store(0, Relaxed);
         }
         self.sum.store(0, Relaxed);
+        self.min.store(u64::MAX, Relaxed);
+        self.max.store(0, Relaxed);
     }
 }
 

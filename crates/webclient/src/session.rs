@@ -6,8 +6,8 @@ use dnssim::{dig_iterative, DigResult, LdnsCache, ResolverConfig, StubResolver, 
 use dnswire::DomainName;
 use httpsim::{HttpRequest, HttpResponse, StatusClass};
 use model::{
-    DigOutcome, DnsFailureKind, FailureClass, FaultSet, ProvenanceRecord, SimDuration, SimTime,
-    TcpFailureKind, TraceEvent, TransactionOutcome, TxnTrace,
+    DigOutcome, DnsFailureKind, FailureClass, FaultSet, SimDuration, SimTime, TcpFailureKind,
+    TraceEvent, TransactionOutcome, TxnTrace,
 };
 use netsim::SimRng;
 use tcpsim::{classify_trace, count_retransmissions, simulate_connection_into, TcpConfig, Trace};
@@ -44,17 +44,18 @@ pub struct WgetConfig {
     pub header_overhead: u64,
     /// Round-trip HTTP heads through the text codec.
     pub http_wire_fidelity: bool,
-    /// Stamp each observation with the ground-truth faults active during it
-    /// (the fault-provenance flight recorder). Probing reads materialized
-    /// timelines only, so the RNG draw order — and therefore the dataset —
-    /// is bit-identical whether this is on or off.
+    /// The runner wants the provenance sidecar (the fault-provenance flight
+    /// recorder), which it projects from each observation's trace.
     pub record_provenance: bool,
-    /// Emit a phase-level forensic trace ([`TxnTrace`]) alongside each
-    /// observation: every DNS attempt, TCP connect, and HTTP exchange as a
-    /// causal event stamped with the faults active at that instant. Capture
-    /// reuses the flight-recorder probes (pure lookups, no RNG), so the
-    /// dataset stays bit-identical with tracing on or off — and works with
-    /// or without `record_provenance`.
+    /// The runner wants forensic exemplars, which it samples from each
+    /// observation's trace.
+    ///
+    /// The session reads the two flags as one: with either set it emits a
+    /// phase-level [`TxnTrace`] alongside each observation — every DNS
+    /// attempt, TCP connect, and HTTP exchange as a causal event stamped
+    /// with the ground-truth faults active at that instant. The probes read
+    /// materialized timelines only (no RNG), so the dataset is bit-identical
+    /// with capture on or off.
     pub forensics: bool,
 }
 
@@ -74,6 +75,13 @@ impl Default for WgetConfig {
             record_provenance: false,
             forensics: false,
         }
+    }
+}
+
+impl WgetConfig {
+    /// Capture ground truth: either consumer asked for the trace.
+    fn capture(&self) -> bool {
+        self.record_provenance || self.forensics
     }
 }
 
@@ -101,11 +109,9 @@ pub struct TransactionObservation {
     pub connections: Vec<ConnObservation>,
     pub retransmissions: Option<u32>,
     pub dig: DigOutcome,
-    /// Ground-truth fault stamp; `Some` only when
-    /// [`WgetConfig::record_provenance`] is set.
-    pub provenance: Option<ProvenanceRecord>,
-    /// Phase-level causal timeline; `Some` only when
-    /// [`WgetConfig::forensics`] is set.
+    /// Phase-level causal timeline with ground-truth stamps; `Some` only
+    /// when [`WgetConfig::record_provenance`] or [`WgetConfig::forensics`]
+    /// is set.
     pub trace: Option<TxnTrace>,
 }
 
@@ -121,7 +127,6 @@ impl TransactionObservation {
             connections: Vec::new(),
             retransmissions: None,
             dig,
-            provenance: None,
             trace: None,
         }
     }
@@ -250,20 +255,11 @@ impl<'t> ClientSession<'t> {
         t: SimTime,
         addrs: &mut Vec<Ipv4Addr>,
     ) -> TransactionObservation {
-        // Flight recorder: probe the ground-truth fault timelines as each
-        // phase runs. Probes are pure lookups (no RNG), so they cannot
-        // perturb the simulation; when neither recorder is on they are
-        // skipped entirely and every stamp below stays `None`. The forensic
-        // trace shares the probes, so it needs no sidecar of its own.
-        let recording = self.config.record_provenance;
-        let tracing = self.config.forensics;
-        let need_truth = recording || tracing;
-        let mut dns_truth = FaultSet::EMPTY;
-        let mut connect_truth = FaultSet::EMPTY;
-        let mut txn_trace = tracing.then(TxnTrace::default);
-        if need_truth {
-            dns_truth = env.true_dns_faults(host, t);
-        }
+        // Truth capture: probe the ground-truth fault timelines as each
+        // phase runs and record the phase as a trace event. Probes are pure
+        // lookups (no RNG), so they cannot perturb the simulation; with
+        // capture off they are skipped entirely and the trace stays `None`.
+        let mut txn_trace = self.config.capture().then(TxnTrace::default);
 
         // Step 1: the client OS cache is flushed before each access; only
         // the LDNS cache (self.cache) persists.
@@ -277,16 +273,12 @@ impl<'t> ClientSession<'t> {
                 at: t,
                 elapsed: dns_elapsed,
                 outcome: resolution.result,
-                truth: dns_truth,
+                truth: env.true_dns_faults(host, t),
             });
         }
         if let Err(kind) = resolution.result {
             let dig = self.run_dig(env, host, t + dns_elapsed);
             let mut obs = TransactionObservation::dns_failure(t, kind, dig);
-            obs.provenance = recording.then_some(ProvenanceRecord {
-                dns: dns_truth,
-                connect: FaultSet::EMPTY,
-            });
             obs.trace = txn_trace;
             return obs;
         }
@@ -338,11 +330,6 @@ impl<'t> ClientSession<'t> {
                         break 'retry;
                     }
                     let behavior = env.server_behavior(*addr, now);
-                    let mut attempt_truth = FaultSet::EMPTY;
-                    if need_truth {
-                        attempt_truth = env.true_faults(*addr, now);
-                        connect_truth |= attempt_truth;
-                    }
                     let path = env.path_quality(*addr, now);
                     let result = simulate_connection_into(
                         &self.config.tcp,
@@ -387,7 +374,7 @@ impl<'t> ClientSession<'t> {
                             elapsed: result.duration,
                             outcome: observed_outcome,
                             syn_retransmissions: result.syn_retransmissions,
-                            truth: attempt_truth,
+                            truth: env.true_faults(*addr, now),
                         });
                     }
                     now += result.duration;
@@ -425,10 +412,6 @@ impl<'t> ClientSession<'t> {
                     connections,
                     retransmissions: self.config.record_traces.then_some(total_visible_retx),
                     dig: DigOutcome::NotRun,
-                    provenance: recording.then_some(ProvenanceRecord {
-                        dns: dns_truth,
-                        connect: connect_truth,
-                    }),
                     trace: txn_trace,
                 };
             };
@@ -459,10 +442,6 @@ impl<'t> ClientSession<'t> {
                         } else {
                             self.run_dig(env, host, now)
                         },
-                        provenance: recording.then_some(ProvenanceRecord {
-                            dns: dns_truth,
-                            connect: connect_truth,
-                        }),
                         trace: txn_trace,
                     };
                 }
@@ -471,18 +450,9 @@ impl<'t> ClientSession<'t> {
                     let next_name: DomainName = match next.parse() {
                         Ok(n) => n,
                         Err(_) => {
-                            let prov = recording.then_some(ProvenanceRecord {
-                                dns: dns_truth,
-                                connect: connect_truth,
-                            });
-                            return self.http_failure(t, dns_elapsed, 502, final_replica, now, bytes_received, connections, total_visible_retx, prov, txn_trace)
+                            return self.http_failure(t, dns_elapsed, 502, final_replica, now, bytes_received, connections, total_visible_retx, txn_trace)
                         }
                     };
-                    let mut hop_truth = FaultSet::EMPTY;
-                    if need_truth {
-                        hop_truth = env.true_dns_faults(&next_name, now);
-                        dns_truth |= hop_truth;
-                    }
                     // Resolve the next hop (LDNS cache applies).
                     let r = self.resolver.resolve_into(
                         &next_name,
@@ -498,7 +468,7 @@ impl<'t> ClientSession<'t> {
                             at: now,
                             elapsed: r.elapsed,
                             outcome: r.result,
-                            truth: hop_truth,
+                            truth: env.true_dns_faults(&next_name, now),
                         });
                     }
                     now += r.elapsed;
@@ -520,20 +490,12 @@ impl<'t> ClientSession<'t> {
                             obs.bytes_received = bytes_received;
                             obs.retransmissions =
                                 self.config.record_traces.then_some(total_visible_retx);
-                            obs.provenance = recording.then_some(ProvenanceRecord {
-                                dns: dns_truth,
-                                connect: connect_truth,
-                            });
                             obs.trace = txn_trace;
                             return obs;
                         }
                     }
                 }
                 _ => {
-                    let prov = recording.then_some(ProvenanceRecord {
-                        dns: dns_truth,
-                        connect: connect_truth,
-                    });
                     return self.http_failure(
                         t,
                         dns_elapsed,
@@ -543,18 +505,13 @@ impl<'t> ClientSession<'t> {
                         bytes_received,
                         connections,
                         total_visible_retx,
-                        prov,
                         txn_trace,
                     );
                 }
             }
         }
         // Redirect limit exceeded: wget reports an error; classify as HTTP.
-        let prov = recording.then_some(ProvenanceRecord {
-            dns: dns_truth,
-            connect: connect_truth,
-        });
-        self.http_failure(t, dns_elapsed, 310, final_replica, now, bytes_received, connections, total_visible_retx, prov, txn_trace)
+        self.http_failure(t, dns_elapsed, 310, final_replica, now, bytes_received, connections, total_visible_retx, txn_trace)
     }
 
     /// Run one transaction through a corporate caching proxy.
@@ -573,11 +530,9 @@ impl<'t> ClientSession<'t> {
         E: AccessEnvironment,
         P: AccessEnvironment,
     {
-        let recording = self.config.record_provenance;
-        let tracing = self.config.forensics;
+        let capture = self.config.capture();
         // The client must reach its proxy over the corporate LAN/WAN.
         if !env.client_link_up(t) {
-            let truth = env.true_dns_faults(host, t);
             let obs = TransactionObservation {
                 start: t,
                 dns: Ok(SimDuration::ZERO),
@@ -590,20 +545,17 @@ impl<'t> ClientSession<'t> {
                 connections: Vec::new(),
                 retransmissions: None,
                 dig: DigOutcome::NotRun,
-                provenance: recording.then_some(ProvenanceRecord {
-                    dns: truth,
-                    connect: FaultSet::EMPTY,
-                }),
                 // The dead corporate link shows up as one synthetic connect
-                // attempt toward an unknowable replica.
-                trace: tracing.then(|| TxnTrace {
+                // attempt toward an unknowable replica; its truth is the
+                // client's DNS-phase vantage.
+                trace: capture.then(|| TxnTrace {
                     events: vec![TraceEvent::Connect {
                         replica: Ipv4Addr::UNSPECIFIED,
                         at: t,
                         elapsed: SimDuration::ZERO,
                         outcome: Err(TcpFailureKind::NoConnection),
                         syn_retransmissions: 0,
-                        truth,
+                        truth: env.true_dns_faults(host, t),
                     }],
                 }),
             };
@@ -640,13 +592,6 @@ impl<'t> ClientSession<'t> {
                 duration + local_rtt * 2u64,
             ),
         };
-        // Vantage-level stamp only: the proxy hides which replica it tried,
-        // so the connect phase cannot be attributed to a specific address —
-        // clients behind one proxy share the proxy-vantage cause, which is
-        // exactly the Section 4.7 shared-fate effect the audit measures.
-        // Pure lookups, shared between the provenance stamp and the trace.
-        let vantage = env.true_dns_faults(host, t)
-            | proxy_env.true_dns_faults(host, t + local_rtt);
         let status = match &outcome {
             TransactionOutcome::Success => 200,
             TransactionOutcome::Failure(FailureClass::Http(s)) => *s,
@@ -665,19 +610,20 @@ impl<'t> ClientSession<'t> {
             connections: Vec::new(),
             retransmissions: None,
             dig: DigOutcome::NotRun,
-            provenance: recording.then_some(ProvenanceRecord {
-                dns: vantage,
-                connect: FaultSet::EMPTY,
-            }),
             // The proxy collapses the whole exchange into one HTTP event as
-            // seen by the client; the vantage truth rides on it.
-            trace: tracing.then(|| TxnTrace {
+            // seen by the client. Its truth is vantage-level only: the proxy
+            // hides which replica it tried, so the connect phase cannot be
+            // attributed to a specific address — clients behind one proxy
+            // share the proxy-vantage cause, which is exactly the Section
+            // 4.7 shared-fate effect the audit measures.
+            trace: capture.then(|| TxnTrace {
                 events: vec![TraceEvent::Http {
                     host: host.to_string(),
                     at: t + local_rtt,
                     status,
                     redirect: None,
-                    truth: vantage,
+                    truth: env.true_dns_faults(host, t)
+                        | proxy_env.true_dns_faults(host, t + local_rtt),
                 }],
             }),
         };
@@ -696,7 +642,6 @@ impl<'t> ClientSession<'t> {
         bytes_received: u64,
         connections: Vec<ConnObservation>,
         total_visible_retx: u32,
-        provenance: Option<ProvenanceRecord>,
         trace: Option<TxnTrace>,
     ) -> TransactionObservation {
         TransactionObservation {
@@ -709,7 +654,6 @@ impl<'t> ClientSession<'t> {
             connections,
             retransmissions: self.config.record_traces.then_some(total_visible_retx),
             dig: DigOutcome::NotRun,
-            provenance,
             trace,
         }
     }
@@ -1108,6 +1052,20 @@ mod tests {
         assert_eq!(trace.events.len(), 1, "DNS dies before any connect");
         assert_eq!(trace.events[0].phase(), "dns");
         assert!(trace.events[0].failed());
+    }
+
+    #[test]
+    fn provenance_alone_captures_the_trace() {
+        let tr = tree();
+        let env = HealthyEnv::new(Origin::simple("www.example.com", 24_000));
+        let mut cfg = WgetConfig::default();
+        cfg.resolver.query_loss_prob = 0.0;
+        cfg.record_provenance = true;
+        let mut s = ClientSession::new(&tr, cfg, SimRng::new(37));
+        let obs = s.run_transaction(&env, &name("www.example.com"), SimTime::from_hours(1));
+        let trace = obs.trace.expect("the sidecar is projected from the trace");
+        let phases: Vec<&str> = trace.events.iter().map(|e| e.phase()).collect();
+        assert_eq!(phases, ["dns", "connect", "http"]);
     }
 
     #[test]

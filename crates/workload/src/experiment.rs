@@ -62,8 +62,10 @@ pub struct ExperimentConfig {
     pub apparatus: ApparatusFaults,
     /// Run the fault-provenance flight recorder: stamp every transaction
     /// with the ground-truth faults active during it and export the
-    /// [`ProvenanceLog`] sidecar. The dataset itself is bit-identical on or
-    /// off — stamping reads materialized timelines only, never the RNG.
+    /// [`ProvenanceLog`] sidecar. Each stamp is projected from the
+    /// transaction's causal trace, the one capture path shared with
+    /// [`Self::forensics`]. The dataset itself is bit-identical on or off —
+    /// capture reads materialized timelines only, never the RNG.
     pub record_provenance: bool,
     /// Adversarial fault-archetype intensities.
     /// [`AdversarialProfile::none`] (the default everywhere) draws nothing
@@ -71,8 +73,7 @@ pub struct ExperimentConfig {
     /// build without the suite.
     pub adversarial: AdversarialProfile,
     /// Forensic trace capture: `Some` tail-samples causal traces into an
-    /// [`ExemplarStore`]. Like the provenance recorder, capture reads only
-    /// materialized timelines — the dataset is bit-identical with tracing
+    /// [`ExemplarStore`]. Capture reads only materialized timelines — the dataset is bit-identical with tracing
     /// on, off, or compiled against `--no-default-features`.
     pub forensics: Option<ForensicsConfig>,
 }
@@ -145,12 +146,10 @@ impl ExperimentConfig {
     /// Covers every field — adding a knob changes the digest by
     /// construction.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{self:?}").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        use std::fmt::Write as _;
+        let mut h = netsim::Fnv::new();
+        write!(h, "{self:?}").expect("hashing cannot fail");
+        h.finish()
     }
 }
 
@@ -953,27 +952,28 @@ fn run_client(
                     dig: obs.dig,
                     proxy: spec.proxy,
                 });
+                // Both truth consumers read the one trace the session
+                // captured when either asked for it.
+                let trace = obs.trace.take();
                 if config.record_provenance {
                     // One stamp per record, same order — the sidecar stays
                     // parallel-by-index through in-order collection.
-                    provenance.push(obs.provenance.unwrap_or_default());
+                    provenance.push(trace.as_ref().map(ProvenanceRecord::from).unwrap_or_default());
                 }
-                if let Some(store) = exemplars.as_mut() {
-                    if let Some(tr) = obs.trace.take() {
-                        store.offer(TraceExemplar {
-                            client: client as u16,
-                            site: si as u16,
-                            hour: obs.start.hour_bin(),
-                            record_index: records.len() - 1,
-                            start: obs.start,
-                            duration_us: (obs.dns.unwrap_or(SimDuration::ZERO)
-                                + obs.download_time.unwrap_or(SimDuration::ZERO))
-                            .as_micros(),
-                            failed: obs.outcome.is_failure(),
-                            truth: tr.truth(),
-                            trace: tr,
-                        });
-                    }
+                if let (Some(store), Some(tr)) = (exemplars.as_mut(), trace) {
+                    store.offer(TraceExemplar {
+                        client: client as u16,
+                        site: si as u16,
+                        hour: obs.start.hour_bin(),
+                        record_index: records.len() - 1,
+                        start: obs.start,
+                        duration_us: (obs.dns.unwrap_or(SimDuration::ZERO)
+                            + obs.download_time.unwrap_or(SimDuration::ZERO))
+                        .as_micros(),
+                        failed: obs.outcome.is_failure(),
+                        truth: tr.truth(),
+                        trace: tr,
+                    });
                 }
                 // The observation is fully copied out; hand its buffers back
                 // for the next access.

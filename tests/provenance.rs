@@ -174,6 +174,34 @@ fn sidecar_is_parallel_and_vantage_consistent() {
     assert!(blocked_failures > 0, "blocked pairs fail constantly by design");
 }
 
+/// The sidecar is projected from each transaction's causal trace. These
+/// digests were taken when the session still hand-built every stamp on its
+/// own return paths, so they hold the projection to exactly those stamps —
+/// redirect hops, proxied vantages and dead corporate links included.
+#[test]
+fn projected_stamps_match_the_pinned_sidecar_digests() {
+    use std::fmt::Write as _;
+    use workload::AdversarialProfile;
+    for (world, adversarial, nonempty, digest) in [
+        ("standard", AdversarialProfile::none(), 5365, 0xcdd8_23fa_1f69_d150u64),
+        ("adversarial", AdversarialProfile::adversarial_month(), 7151, 0x6355_4b89_0ff7_48bc),
+    ] {
+        let mut cfg = ExperimentConfig::quick(20050101);
+        cfg.hours = 12;
+        cfg.wire_fidelity = false;
+        cfg.threads = 1;
+        cfg.record_provenance = true;
+        cfg.adversarial = adversarial;
+        let log = run_experiment(&cfg).provenance.expect("provenance requested");
+        assert_eq!(log.records.len(), 125_713, "{world}");
+        let stamped = log.records.iter().filter(|r| !r.all().is_empty()).count();
+        assert_eq!(stamped, nonempty, "{world}: non-empty stamps");
+        let mut h = netsim::Fnv::new();
+        write!(h, "{:?}", log.records).expect("hashing cannot fail");
+        assert_eq!(h.finish(), digest, "{world}: sidecar digest");
+    }
+}
+
 #[test]
 fn archetype_stamps_track_window_boundaries_mid_hour() {
     let (fleet, sites, mut gt) = small_world(6);
