@@ -6,7 +6,7 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> detcheck: threads 2/7 and provenance/forensics/telemetry capture match the plain run (standard + adversarial)"
+echo "==> detcheck: threads 2/7, provenance/forensics/telemetry capture and wire fidelity match the plain run (standard + adversarial)"
 check_default="$(cargo run --release -q -p bench-suite --bin detcheck)"
 echo "$check_default"
 

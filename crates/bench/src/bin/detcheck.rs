@@ -7,9 +7,11 @@
 //!
 //! For each world — standard, and the adversarial month with every fault
 //! archetype enabled — it runs a 12-hour window (wire fidelity off) at one
-//! thread with all capture off, then five cells: 2 threads; 7 threads;
+//! thread with all capture off, then six cells: 2 threads; 7 threads;
 //! 1 thread with the provenance sidecar; 1 thread with forensic tracing;
-//! 2 threads with provenance, forensics and runtime telemetry together.
+//! 2 threads with provenance, forensics and runtime telemetry together;
+//! 1 thread with DNS/HTTP wire fidelity on, whose codec checks must leave
+//! the world untouched.
 //! Every cell must reproduce the reference's record and connection counts,
 //! dataset fingerprint, rendered-report hash and headline pipeline tables.
 //! The sidecar and the exemplar store must be present exactly when asked
@@ -33,6 +35,7 @@ struct Cell {
     provenance: bool,
     forensics: bool,
     telemetry: bool,
+    wire_fidelity: bool,
 }
 
 const REFERENCE: Cell = Cell {
@@ -41,9 +44,10 @@ const REFERENCE: Cell = Cell {
     provenance: false,
     forensics: false,
     telemetry: false,
+    wire_fidelity: false,
 };
 
-const CELLS: [Cell; 5] = [
+const CELLS: [Cell; 6] = [
     Cell { name: "2 threads", threads: 2, ..REFERENCE },
     Cell { name: "7 threads", threads: 7, ..REFERENCE },
     Cell { name: "provenance", provenance: true, ..REFERENCE },
@@ -54,7 +58,9 @@ const CELLS: [Cell; 5] = [
         provenance: true,
         forensics: true,
         telemetry: true,
+        ..REFERENCE
     },
+    Cell { name: "wire on", wire_fidelity: true, ..REFERENCE },
 ];
 
 /// What one run produced, reduced to what the gate compares.
@@ -96,7 +102,7 @@ fn main() {
 fn run(cell: &Cell, seed: u64, adversarial: AdversarialProfile) -> Outcome {
     let mut cfg = ExperimentConfig::quick(seed);
     cfg.hours = 12;
-    cfg.wire_fidelity = false;
+    cfg.wire_fidelity = cell.wire_fidelity;
     cfg.threads = cell.threads;
     cfg.adversarial = adversarial;
     cfg.record_provenance = cell.provenance;

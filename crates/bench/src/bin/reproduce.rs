@@ -103,7 +103,7 @@ fn main() {
 
     let t1 = Instant::now();
     let a5 = Analysis::new(ds, AnalysisConfig::default());
-    let a10 = Analysis::new(ds, AnalysisConfig::conservative());
+    let a10 = a5.with_threshold(0.10);
     eprintln!("analysis indexed in {:.1}s", t1.elapsed().as_secs_f64());
 
     let wanted = |id: &str| only.as_ref().is_none_or(|ids| ids.iter().any(|x| x == id || x == "all"));

@@ -58,13 +58,14 @@ pub use permanent::PermanentPairs;
 use model::{ColumnarDataset, Dataset};
 
 /// The indexed analysis over one dataset.
+#[derive(Clone)]
 pub struct Analysis<'d> {
     pub ds: &'d Dataset,
     /// Structure-of-arrays view of the same records; every headline scan
     /// (grids, permanent pairs, Table 5, episodes, BGP grid, summaries)
     /// reads these columns instead of the row structs. `Arc` so the two
-    /// blame thresholds in [`pipeline::run`] share one copy — the columns
-    /// are hundreds of MB at reproduction scale.
+    /// blame thresholds ([`Analysis::with_threshold`]) share one copy — the
+    /// columns are hundreds of MB at reproduction scale.
     pub cds: std::sync::Arc<ColumnarDataset>,
     pub config: AnalysisConfig,
     /// Near-permanent (client, site) pairs, detected from the data and
@@ -109,6 +110,16 @@ impl<'d> Analysis<'d> {
             server_grid,
             client_outcome,
             server_outcome,
+        }
+    }
+
+    /// The same index under episode threshold `f`: the columns, permanent
+    /// pairs and grids do not depend on `f`, so they are shared (the
+    /// columns by `Arc`, the rest copied) instead of recomputed.
+    pub fn with_threshold(&self, f: f64) -> Analysis<'d> {
+        Analysis {
+            config: self.config.with_threshold(f),
+            ..self.clone()
         }
     }
 

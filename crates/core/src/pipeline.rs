@@ -53,16 +53,7 @@ pub fn run(ds: &Dataset, config: AnalysisConfig) -> FullAnalysis {
     let _span = telemetry::span!("analysis.pipeline");
     let threads = config.threads;
     let a5 = Analysis::new(ds, config);
-    let a10 = Analysis {
-        ds,
-        cds: a5.cds.clone(),
-        config: config.with_threshold(0.10),
-        permanent: a5.permanent.clone(),
-        client_grid: a5.client_grid.clone(),
-        server_grid: a5.server_grid.clone(),
-        client_outcome: a5.client_outcome.clone(),
-        server_outcome: a5.server_outcome.clone(),
-    };
+    let a10 = a5.with_threshold(0.10);
     let neighbors_rule = SeverityRule::Neighbors(config.severe_neighbors);
     let alt_rule =
         SeverityRule::WithdrawalsAndNeighbors(config.alt_withdrawals, config.alt_neighbors);

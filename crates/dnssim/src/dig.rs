@@ -7,11 +7,10 @@
 //! cases; disagreement indicates a transient or an LDNS-only problem).
 
 use crate::faults::DnsFaults;
-use crate::resolver::ResolverConfig;
-use crate::server::{authoritative_answer, AnswerKind};
+use crate::resolver::{ResolverConfig, StubResolver};
 use crate::zones::ZoneTree;
-use dnswire::{DomainName, Message, RecordType};
-use model::{DnsErrorCode, DnsFailureKind, SimDuration, SimTime};
+use dnswire::DomainName;
+use model::{DnsFailureKind, SimDuration, SimTime};
 use netsim::SimRng;
 use std::net::Ipv4Addr;
 
@@ -36,7 +35,8 @@ impl DigResult {
 /// root servers are unreachable, reported as an LDNS-class timeout since
 /// dig's first hop — the LDNS — also fails); LDNS-only outages do *not*
 /// affect the walk, which is exactly the discrepancy the paper uses dig to
-/// expose.
+/// expose. Past the access link, dig makes the same delegation walk as the
+/// LDNS's recursion and reads the answer by the same rule.
 pub fn dig_iterative<F: DnsFaults + ?Sized>(
     tree: &ZoneTree,
     qname: &DomainName,
@@ -50,73 +50,29 @@ pub fn dig_iterative<F: DnsFaults + ?Sized>(
         elapsed += config.stub_timeout * u64::from(config.stub_attempts);
         return (DigResult::Failed(DnsFailureKind::LdnsTimeout), elapsed);
     }
-
-    let chain = tree.delegation_chain(qname);
-    let Some(last) = chain.last() else {
-        return (
-            DigResult::Failed(DnsFailureKind::ErrorResponse(DnsErrorCode::ServFail)),
-            elapsed,
-        );
+    let result = match StubResolver::new(tree, *config).walk(qname, faults, t, rng, &mut elapsed) {
+        Ok((answer, _ttl)) => {
+            // One draw per authoritative answer. Nothing reads it; it is
+            // kept because dropping it would shift every later draw of the
+            // client's stream, and with it every recorded world
+            // (determinism goldens, pinned sidecar digests, benchmark
+            // reference figures).
+            rng.next_u64();
+            match answer {
+                Ok(addrs) => DigResult::Resolved(addrs),
+                Err(code) => DigResult::Failed(DnsFailureKind::ErrorResponse(code)),
+            }
+        }
+        Err(kind) => DigResult::Failed(kind),
     };
-    let auth_apex = last.apex.clone();
-
-    for zone in &chain {
-        let is_auth = zone.apex == auth_apex;
-        if is_auth {
-            if let Some(code) = faults.zone_error(&zone.apex, t) {
-                elapsed += config.latency.sample(config.latency.hop_rtt, rng);
-                return (DigResult::Failed(DnsFailureKind::ErrorResponse(code)), elapsed);
-            }
-        }
-        let up = faults.auth_up(&zone.apex, t);
-        let mut reached = false;
-        for _ in 0..config.auth_attempts {
-            if up && !rng.chance(config.query_loss_prob) {
-                elapsed += config.latency.sample(config.latency.hop_rtt, rng);
-                reached = true;
-                break;
-            }
-            elapsed += config.auth_timeout;
-        }
-        if !reached {
-            return (DigResult::Failed(DnsFailureKind::NonLdnsTimeout), elapsed);
-        }
-        if is_auth {
-            let q = Message::iterative_query(rng.next_u64() as u16, qname.clone(), RecordType::A);
-            let (resp, kind) = authoritative_answer(zone, tree, &q);
-            return match kind {
-                AnswerKind::Authoritative => {
-                    let addrs = resp.resolve_a_chain(qname);
-                    if addrs.is_empty() {
-                        (
-                            DigResult::Failed(DnsFailureKind::ErrorResponse(DnsErrorCode::ServFail)),
-                            elapsed,
-                        )
-                    } else {
-                        (DigResult::Resolved(addrs), elapsed)
-                    }
-                }
-                AnswerKind::NxDomain => (
-                    DigResult::Failed(DnsFailureKind::ErrorResponse(DnsErrorCode::NxDomain)),
-                    elapsed,
-                ),
-                AnswerKind::Referral => (
-                    DigResult::Failed(DnsFailureKind::ErrorResponse(DnsErrorCode::ServFail)),
-                    elapsed,
-                ),
-            };
-        }
-    }
-    (
-        DigResult::Failed(DnsFailureKind::ErrorResponse(DnsErrorCode::NxDomain)),
-        elapsed,
-    )
+    (result, elapsed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::NoFaults;
+    use model::DnsErrorCode;
 
     fn name(s: &str) -> DomainName {
         s.parse().unwrap()

@@ -3,9 +3,14 @@
 //! Models the full resolution path a web client exercises (Section 2.1 of
 //! the paper): a stub resolver on the client queries its **local DNS server
 //! (LDNS)**, which resolves iteratively through a simulated zone hierarchy
-//! (root → TLD → authoritative). Every query and response is round-tripped
-//! through the `dnswire` RFC 1035 codec (configurable off for very large
-//! runs), so the simulated traffic is real DNS wire data.
+//! (root → TLD → authoritative). The LDNS's recursion and the [`dig`]
+//! walker share one delegation walk and one rule for reading the answer
+//! ([`Zone::answer`], which follows in-zone CNAME chains).
+//!
+//! With wire fidelity on, every query and response is also round-tripped
+//! through the `dnswire` RFC 1035 codec and checked against the direct
+//! answer. The codec only checks: it never changes a result or draws from
+//! the RNG, so a run with it off simulates the same world, bit for bit.
 //!
 //! Fault injection enters through the [`DnsFaults`] trait: the experiment's
 //! ground-truth fault model answers "is the client's access link up?", "is

@@ -3,13 +3,20 @@
 //! The resolution is computed *hierarchically*: faults are evaluated at the
 //! transaction instant (episodes last hours; lookups last seconds) and the
 //! elapsed time is accumulated analytically from per-hop latency samples and
-//! timeout schedules. With `wire_fidelity` on, every hop additionally
-//! round-trips a real RFC 1035 message through the `dnswire` codec.
+//! timeout schedules. The LDNS's recursion and the iterative `dig` share one
+//! delegation walk and read the authoritative answer through one rule,
+//! [`Zone::answer`].
+//!
+//! With `wire_fidelity` on, every hop additionally round-trips a real
+//! RFC 1035 message through the `dnswire` codec and checks the decoded
+//! message against the direct answer. The check never changes a result:
+//! message IDs are a function of the hop, not RNG draws, so a run with the
+//! codec on is bit-identical to the same run with it off.
 
 use crate::faults::DnsFaults;
-use crate::server::{authoritative_answer, AnswerKind};
-use crate::zones::ZoneTree;
-use dnswire::{DomainName, Message, RData, RecordType};
+use crate::server::authoritative_answer;
+use crate::zones::{Zone, ZoneTree};
+use dnswire::{DomainName, Message, Rcode, RecordType};
 use model::{DnsErrorCode, DnsFailureKind, SimDuration, SimTime};
 use netsim::SimRng;
 use std::collections::HashMap;
@@ -58,7 +65,8 @@ pub struct ResolverConfig {
     /// Probability an individual healthy query/response exchange is lost
     /// (background UDP loss; retries usually hide it).
     pub query_loss_prob: f64,
-    /// Round-trip every message through the RFC 1035 codec.
+    /// Round-trip every message through the RFC 1035 codec and check it
+    /// (results are identical on or off).
     pub wire_fidelity: bool,
     pub latency: LatencyModel,
 }
@@ -78,14 +86,12 @@ impl Default for ResolverConfig {
 }
 
 /// The outcome of one resolution.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Resolution {
     /// Addresses on success; the observable failure class otherwise.
     pub result: Result<Vec<Ipv4Addr>, DnsFailureKind>,
     /// Time the lookup took (including timeout time on failure).
     pub elapsed: SimDuration,
-    /// Wire messages exchanged (0 with `wire_fidelity` off).
-    pub messages: u32,
     /// Whether the answer came from the LDNS cache.
     pub from_cache: bool,
 }
@@ -105,8 +111,6 @@ pub struct ResolutionStatus {
     pub result: Result<(), DnsFailureKind>,
     /// Time the lookup took (including timeout time on failure).
     pub elapsed: SimDuration,
-    /// Wire messages exchanged (0 with `wire_fidelity` off).
-    pub messages: u32,
     /// Whether the answer came from the LDNS cache.
     pub from_cache: bool,
 }
@@ -163,18 +167,30 @@ fn rotate_rr(addrs: &mut [Ipv4Addr], rng: &mut SimRng) {
 pub struct StubResolver<'t> {
     tree: &'t ZoneTree,
     config: ResolverConfig,
-}
-
-/// Internal walk outcome (LDNS's view).
-enum WalkOutcome {
-    Answered(Vec<Ipv4Addr>, u32 /* ttl */),
-    AuthTimeout,
-    Error(DnsErrorCode),
+    /// One RNG draw per message exchanged; see [`Self::drawing_per_message`].
+    message_draws: bool,
 }
 
 impl<'t> StubResolver<'t> {
     pub fn new(tree: &'t ZoneTree, config: ResolverConfig) -> Self {
-        StubResolver { tree, config }
+        StubResolver {
+            tree,
+            config,
+            message_draws: false,
+        }
+    }
+
+    /// [`Self::new`] for a resolver that takes one RNG draw per message it
+    /// exchanges: the stub's query and every reached hop's reply. Nothing
+    /// reads the draws. The caching proxy resolves this way; dropping its
+    /// draws would shift every later draw of the proxy's stream, and with it
+    /// every recorded world (determinism goldens, pinned sidecar digests,
+    /// benchmark reference figures).
+    pub fn drawing_per_message(tree: &'t ZoneTree, config: ResolverConfig) -> Self {
+        StubResolver {
+            message_draws: true,
+            ..StubResolver::new(tree, config)
+        }
     }
 
     pub fn config(&self) -> &ResolverConfig {
@@ -196,7 +212,6 @@ impl<'t> StubResolver<'t> {
         Resolution {
             result: status.result.map(|()| addrs),
             elapsed: status.elapsed,
-            messages: status.messages,
             from_cache: status.from_cache,
         }
     }
@@ -260,7 +275,6 @@ impl<'t> StubResolver<'t> {
     ) -> ResolutionStatus {
         let cfg = &self.config;
         let mut elapsed = SimDuration::ZERO;
-        let mut messages = 0u32;
 
         // --- Stub → LDNS ------------------------------------------------
         let ldns_reachable = faults.client_link_up(t) && faults.ldns_up(t);
@@ -277,16 +291,15 @@ impl<'t> StubResolver<'t> {
             return ResolutionStatus {
                 result: Err(DnsFailureKind::LdnsTimeout),
                 elapsed,
-                messages,
                 from_cache: false,
             };
         }
+        if self.message_draws {
+            rng.next_u64();
+        }
         if cfg.wire_fidelity {
             // The stub's recursive query to the LDNS.
-            let q = Message::query(rng.next_u64() as u16, qname.clone(), RecordType::A);
-            let bytes = q.encode().expect("valid query");
-            let _ = Message::decode(&bytes).expect("own bytes decode");
-            messages += 1;
+            round_trip(&Message::query(0, qname.clone(), RecordType::A));
         }
 
         // --- LDNS cache --------------------------------------------------
@@ -296,15 +309,13 @@ impl<'t> StubResolver<'t> {
             return ResolutionStatus {
                 result: Ok(()),
                 elapsed,
-                messages,
                 from_cache: true,
             };
         }
 
-        // --- Iterative walk (by the LDNS); in-zone CNAME chains are
-        // resolved by the authoritative server itself ----------------------
-        match self.walk(qname, faults, t, rng, &mut elapsed, &mut messages) {
-            WalkOutcome::Answered(addrs, ttl) => {
+        // --- Iterative walk (by the LDNS) -------------------------------
+        let result = match self.walk(qname, faults, t, rng, &mut elapsed) {
+            Ok((Ok(addrs), ttl)) => {
                 out.extend_from_slice(&addrs);
                 cache.put(
                     qname.clone(),
@@ -312,53 +323,47 @@ impl<'t> StubResolver<'t> {
                     t + SimDuration::from_secs(u64::from(ttl)),
                 );
                 rotate_rr(out, rng);
-                ResolutionStatus {
-                    result: Ok(()),
-                    elapsed,
-                    messages,
-                    from_cache: false,
-                }
+                Ok(())
             }
-            WalkOutcome::AuthTimeout => ResolutionStatus {
-                result: Err(DnsFailureKind::NonLdnsTimeout),
-                elapsed,
-                messages,
-                from_cache: false,
-            },
-            WalkOutcome::Error(code) => ResolutionStatus {
-                result: Err(DnsFailureKind::ErrorResponse(code)),
-                elapsed,
-                messages,
-                from_cache: false,
-            },
+            Ok((Err(code), _)) => Err(DnsFailureKind::ErrorResponse(code)),
+            Err(kind) => Err(kind),
+        };
+        ResolutionStatus {
+            result,
+            elapsed,
+            from_cache: false,
         }
     }
 
-    /// Walk the delegation chain for `qname`, accumulating latency.
-    fn walk<F: DnsFaults + ?Sized>(
+    /// The delegation walk both the LDNS's recursion and
+    /// [`crate::dig_iterative`] make: every zone from the root down to the
+    /// authoritative one gets `auth_attempts` tries, accumulating latency
+    /// into `elapsed`. `Err` is a failure before any answer (a zone that
+    /// never answers, or a misconfigured authoritative zone's error); `Ok`
+    /// is the authoritative server's [`Zone::answer`] and its TTL. Wire
+    /// fidelity only adds [`check_reply`] at each hop.
+    pub(crate) fn walk<F: DnsFaults + ?Sized>(
         &self,
         qname: &DomainName,
         faults: &F,
         t: SimTime,
         rng: &mut SimRng,
         elapsed: &mut SimDuration,
-        messages: &mut u32,
-    ) -> WalkOutcome {
-        let chain = self.tree.delegation_chain(qname);
-        if chain.is_empty() {
-            return WalkOutcome::Error(DnsErrorCode::ServFail);
-        }
+    ) -> Result<(Result<Vec<Ipv4Addr>, DnsErrorCode>, u32), DnsFailureKind> {
         let cfg = &self.config;
-        for zone in &chain {
+        let chain = self.tree.delegation_chain(qname);
+        let Some(auth) = chain.last() else {
+            return Err(DnsFailureKind::ErrorResponse(DnsErrorCode::ServFail));
+        };
+        for (hop, zone) in chain.iter().enumerate() {
+            let is_auth = hop + 1 == chain.len();
             // Zone misconfiguration produces an error *response* (servers
             // are up but answer with an error) — only meaningful at the
-            // authoritative zone, i.e. the last chain element.
-            let is_auth = zone.apex.label_count() == chain.last().expect("non-empty").apex.label_count();
+            // authoritative zone.
             if is_auth {
                 if let Some(code) = faults.zone_error(&zone.apex, t) {
                     *elapsed += cfg.latency.sample(cfg.latency.hop_rtt, rng);
-                    *messages += if cfg.wire_fidelity { 1 } else { 0 };
-                    return WalkOutcome::Error(code);
+                    return Err(DnsFailureKind::ErrorResponse(code));
                 }
             }
             // Reachability of this zone's servers.
@@ -373,65 +378,49 @@ impl<'t> StubResolver<'t> {
                 *elapsed += cfg.auth_timeout;
             }
             if !reached {
-                return WalkOutcome::AuthTimeout;
+                return Err(DnsFailureKind::NonLdnsTimeout);
+            }
+            if self.message_draws {
+                rng.next_u64();
             }
             if cfg.wire_fidelity {
-                let q = Message::iterative_query(rng.next_u64() as u16, qname.clone(), RecordType::A);
-                let (resp, kind) = authoritative_answer(zone, self.tree, &q);
-                let bytes = resp.encode().expect("valid response");
-                let decoded = Message::decode(&bytes).expect("own bytes decode");
-                *messages += 1;
-                if is_auth {
-                    return self.conclude(qname, decoded, kind, zone.ttl);
-                }
-            } else if is_auth {
-                // Codec-free fast path: consult the zone directly.
-                return match zone.lookup(qname) {
-                    Some(records) => {
-                        let addrs: Vec<Ipv4Addr> = records
-                            .iter()
-                            .filter_map(|r| match r {
-                                RData::A(a) => Some(*a),
-                                _ => None,
-                            })
-                            .collect();
-                        if addrs.is_empty() {
-                            WalkOutcome::Error(DnsErrorCode::NxDomain)
-                        } else {
-                            WalkOutcome::Answered(addrs, zone.ttl)
-                        }
-                    }
-                    None => WalkOutcome::Error(DnsErrorCode::NxDomain),
-                };
+                check_reply(self.tree, zone, qname, hop, is_auth);
             }
         }
-        // Chain ended on a referral (no authoritative zone held the name).
-        WalkOutcome::Error(DnsErrorCode::NxDomain)
+        Ok((auth.answer(qname), auth.ttl))
     }
+}
 
-    /// Interpret the authoritative response.
-    fn conclude(
-        &self,
-        qname: &DomainName,
-        resp: Message,
-        kind: AnswerKind,
-        ttl: u32,
-    ) -> WalkOutcome {
-        match kind {
-            AnswerKind::Authoritative => {
-                let addrs = resp.resolve_a_chain(qname);
-                if addrs.is_empty() {
-                    // Terminal CNAME pointing out of zone — not modeled as
-                    // an address here; treat as server failure (rare).
-                    WalkOutcome::Error(DnsErrorCode::ServFail)
-                } else {
-                    WalkOutcome::Answered(addrs, ttl)
-                }
-            }
-            AnswerKind::Referral => WalkOutcome::Error(DnsErrorCode::ServFail),
-            AnswerKind::NxDomain => WalkOutcome::Error(DnsErrorCode::NxDomain),
-        }
+/// Wire fidelity at one hop: round-trip `zone`'s reply through the codec
+/// and check that, from the authoritative zone, it carries the direct
+/// answer. Message IDs are the hop's index (the stub's query is 0, walk hop
+/// `i` is `i + 1`), so the check never draws from the RNG.
+fn check_reply(tree: &ZoneTree, zone: &Zone, qname: &DomainName, hop: usize, is_auth: bool) {
+    let query = Message::iterative_query(hop as u16 + 1, qname.clone(), RecordType::A);
+    let (reply, _) = authoritative_answer(zone, tree, &query);
+    let decoded = round_trip(&reply);
+    if is_auth {
+        let direct = zone.answer(qname);
+        assert_eq!(
+            decoded.header.rcode == Rcode::NxDomain,
+            direct == Err(DnsErrorCode::NxDomain),
+            "decoded rcode for {qname} disagrees with the zone"
+        );
+        assert_eq!(
+            decoded.resolve_a_chain(qname),
+            direct.unwrap_or_default(),
+            "decoded answer for {qname} disagrees with the zone"
+        );
     }
+}
+
+/// Encode `message` and decode the bytes again; the codec must give back
+/// the message it was handed.
+fn round_trip(message: &Message) -> Message {
+    let bytes = message.encode().expect("simulator messages encode");
+    let decoded = Message::decode(&bytes).expect("own bytes decode");
+    assert_eq!(&decoded, message, "DNS codec round trip changed a message");
+    decoded
 }
 
 #[cfg(test)]
@@ -502,7 +491,6 @@ mod tests {
         let res = resolve_with(&NoFaults, "www.example.com");
         assert_eq!(res.result.unwrap(), vec![Ipv4Addr::new(10, 0, 0, 1)]);
         assert!(!res.from_cache);
-        assert!(res.messages >= 4, "stub + root + tld + auth, got {}", res.messages);
         assert!(res.elapsed > SimDuration::ZERO);
         assert!(res.elapsed < SimDuration::from_secs(2), "healthy lookup fast");
     }
@@ -519,7 +507,6 @@ mod tests {
         assert_eq!(res.result.unwrap_err(), DnsFailureKind::LdnsTimeout);
         // 3 attempts × 5 s
         assert_eq!(res.elapsed, SimDuration::from_secs(15));
-        assert_eq!(res.messages, 0);
     }
 
     #[test]
@@ -597,7 +584,6 @@ mod tests {
             &mut cache,
         );
         assert!(second.from_cache);
-        assert_eq!(second.messages, 1, "only the stub query");
         assert_eq!(second.result.unwrap(), vec![Ipv4Addr::new(10, 0, 0, 1)]);
     }
 
@@ -640,36 +626,46 @@ mod tests {
     fn wire_fidelity_off_matches_on() {
         let t = tree();
         let mut cfg = ResolverConfig::default();
-        cfg.query_loss_prob = 0.0;
         let on = StubResolver::new(&t, cfg);
         cfg.wire_fidelity = false;
         let off = StubResolver::new(&t, cfg);
         for host in ["www.example.com", "www.iitb.ac.in", "nosuch.example.com"] {
-            let a = on.resolve(
-                &name(host),
-                &NoFaults,
-                SimTime::from_hours(2),
-                &mut SimRng::new(5),
-                &mut LdnsCache::new(),
-            );
-            let b = off.resolve(
-                &name(host),
-                &NoFaults,
-                SimTime::from_hours(2),
-                &mut SimRng::new(5),
-                &mut LdnsCache::new(),
-            );
-            match (a.result, b.result) {
-                (Ok(mut x), Ok(mut y)) => {
-                    // RR rotation depends on rng position; compare as sets.
-                    x.sort();
-                    y.sort();
-                    assert_eq!(x, y);
+            for seed in 0..64 {
+                let (mut rng_on, mut rng_off) = (SimRng::new(seed), SimRng::new(seed));
+                let (mut cache_on, mut cache_off) = (LdnsCache::new(), LdnsCache::new());
+                // A miss, then (for a resolvable name) a cache hit.
+                let t0 = SimTime::from_hours(2);
+                for at in [t0, t0 + SimDuration::from_secs(60)] {
+                    let a = on.resolve(&name(host), &NoFaults, at, &mut rng_on, &mut cache_on);
+                    let b = off.resolve(&name(host), &NoFaults, at, &mut rng_off, &mut cache_off);
+                    assert_eq!(a, b, "{host} seed {seed}");
                 }
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                other => panic!("fidelity mismatch for {host}: {other:?}"),
+                assert_eq!(rng_on.next_u64(), rng_off.next_u64(), "same draws consumed");
             }
-            assert_eq!(b.messages, 0);
+        }
+    }
+
+    #[test]
+    fn cname_alias_resolves_on_every_path() {
+        let mut t = tree();
+        t.zone_mut(&name("example.com"))
+            .unwrap()
+            .add_cname(name("web.example.com"), name("www.example.com"));
+        let alias = name("web.example.com");
+        let at = SimTime::from_hours(1);
+        let want = vec![Ipv4Addr::new(10, 0, 0, 1)];
+        for wire_fidelity in [false, true] {
+            let cfg = ResolverConfig {
+                wire_fidelity,
+                ..ResolverConfig::default()
+            };
+            let r = StubResolver::new(&t, cfg);
+            let mut rng = SimRng::new(6);
+            let res = r.resolve(&alias, &NoFaults, at, &mut rng, &mut LdnsCache::new());
+            assert_eq!(res.result, Ok(want.clone()), "wire fidelity {wire_fidelity}");
+            let (dig, _) = crate::dig_iterative(&t, &alias, &NoFaults, at, &mut rng, &cfg);
+            let want_dig = crate::DigResult::Resolved(want.clone());
+            assert_eq!(dig, want_dig, "dig, wire fidelity {wire_fidelity}");
         }
     }
 
@@ -691,7 +687,6 @@ mod tests {
                 let status =
                     r.resolve_into(&name(host), &NoFaults, t0, &mut rng_b, &mut cache_b, &mut buf);
                 assert_eq!(status.elapsed, owned.elapsed, "{host} pass {pass}");
-                assert_eq!(status.messages, owned.messages);
                 assert_eq!(status.from_cache, owned.from_cache);
                 match owned.result {
                     Ok(addrs) => {
@@ -711,8 +706,7 @@ mod tests {
     fn deterministic_given_seed() {
         let a = resolve_with(&NoFaults, "www.example.com");
         let b = resolve_with(&NoFaults, "www.example.com");
-        assert_eq!(a.elapsed, b.elapsed);
-        assert_eq!(a.messages, b.messages);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -28,12 +28,12 @@ pub fn authoritative_answer(zone: &Zone, tree: &ZoneTree, query: &Message) -> (M
     let Some(q) = query.questions.first() else {
         return (resp.with_rcode(Rcode::FormErr), AnswerKind::NxDomain);
     };
-    let qname = q.qname.clone();
+    let qname = &q.qname;
 
     // Delegation check: the deepest zone in the tree that is authoritative
     // for qname. If it is deeper than us, refer to the next zone down our
     // chain.
-    if let Some(deeper) = next_delegation(zone, tree, &qname) {
+    if let Some(deeper) = next_delegation(zone, tree, qname) {
         for (ns_name, ns_addr) in &deeper.ns {
             resp.add_authority(deeper.apex.clone(), deeper.ttl, RData::Ns(ns_name.clone()));
             resp.add_additional(ns_name.clone(), deeper.ttl, RData::A(*ns_addr));
@@ -42,25 +42,11 @@ pub fn authoritative_answer(zone: &Zone, tree: &ZoneTree, query: &Message) -> (M
     }
 
     // We are the authority: answer, following in-zone CNAME chains.
-    let mut current = qname.clone();
     let mut answered = false;
-    for _ in 0..8 {
-        match zone.lookup(&current) {
-            Some(records) => {
-                answered = true;
-                let mut next: Option<DomainName> = None;
-                for r in records {
-                    resp.add_answer(current.clone(), zone.ttl, r.clone());
-                    if let RData::Cname(target) = r {
-                        next = Some(target.clone());
-                    }
-                }
-                match next {
-                    Some(target) if target.is_subdomain_of(&zone.apex) => current = target,
-                    _ => break,
-                }
-            }
-            None => break,
+    for (owner, records) in zone.answer_chain(qname) {
+        answered = true;
+        for r in records {
+            resp.add_answer(owner.clone(), zone.ttl, r.clone());
         }
     }
 
@@ -73,9 +59,11 @@ pub fn authoritative_answer(zone: &Zone, tree: &ZoneTree, query: &Message) -> (M
 
 /// The next zone on the delegation path from `zone` toward `qname`, if any.
 fn next_delegation<'t>(zone: &Zone, tree: &'t ZoneTree, qname: &DomainName) -> Option<&'t Zone> {
-    tree.delegation_chain(qname)
-        .into_iter()
-        .find(|z| z.apex.label_count() > zone.apex.label_count())
+    qname
+        .hierarchy()
+        .iter()
+        .filter(|apex| apex.label_count() > zone.apex.label_count())
+        .find_map(|apex| tree.zone(apex))
 }
 
 #[cfg(test)]

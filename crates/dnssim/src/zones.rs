@@ -6,6 +6,7 @@
 //! CNAME records, and delegations to child zones.
 
 use dnswire::{DomainName, RData};
+use model::DnsErrorCode;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -49,6 +50,59 @@ impl Zone {
     /// Look up a name inside this zone; `None` when it does not exist.
     pub fn lookup(&self, name: &DomainName) -> Option<&[RData]> {
         self.records.get(name).map(|v| v.as_slice())
+    }
+
+    /// The records that answer `qname`: each owner name with its records,
+    /// `qname` first, following in-zone CNAMEs for at most 8 links. Empty
+    /// when `qname` does not exist in this zone.
+    pub(crate) fn answer_chain(
+        &self,
+        qname: &DomainName,
+    ) -> impl Iterator<Item = (&DomainName, &[RData])> {
+        let entry = move |name: &DomainName| {
+            self.records
+                .get_key_value(name)
+                .map(|(owner, records)| (owner, records.as_slice()))
+        };
+        std::iter::successors(entry(qname), move |(_, records)| {
+            records
+                .iter()
+                .rev()
+                .find_map(|r| match r {
+                    RData::Cname(target) => Some(target),
+                    _ => None,
+                })
+                .filter(|target| target.is_subdomain_of(&self.apex))
+                .and_then(entry)
+        })
+        .take(8)
+    }
+
+    /// What the authoritative server's answer for `qname` means: the A
+    /// records of the first name along its in-zone CNAME chain that has any.
+    /// NXDOMAIN when `qname` does not exist; SERVFAIL when the chain ends
+    /// without addresses (a terminal CNAME pointing out of zone, which is
+    /// not modeled).
+    pub fn answer(&self, qname: &DomainName) -> Result<Vec<Ipv4Addr>, DnsErrorCode> {
+        let mut exists = false;
+        for (_, records) in self.answer_chain(qname) {
+            exists = true;
+            let addrs: Vec<Ipv4Addr> = records
+                .iter()
+                .filter_map(|r| match r {
+                    RData::A(a) => Some(*a),
+                    _ => None,
+                })
+                .collect();
+            if !addrs.is_empty() {
+                return Ok(addrs);
+            }
+        }
+        Err(if exists {
+            DnsErrorCode::ServFail
+        } else {
+            DnsErrorCode::NxDomain
+        })
     }
 }
 
@@ -219,6 +273,22 @@ mod tests {
             Some(&[RData::A(Ipv4Addr::new(10, 0, 0, 1))][..])
         );
         assert!(z.lookup(&name("nosuch.example.com")).is_none());
+    }
+
+    #[test]
+    fn answer_follows_in_zone_cnames_only() {
+        let mut z = Zone::new(name("example.com"), vec![], 300);
+        let a = Ipv4Addr::new(10, 0, 0, 1);
+        z.add_a(name("www.example.com"), a);
+        z.add_cname(name("web.example.com"), name("www.example.com"));
+        z.add_cname(name("cdn.example.com"), name("edge.cdn.example.net"));
+        assert_eq!(z.answer(&name("www.example.com")), Ok(vec![a]));
+        assert_eq!(z.answer(&name("web.example.com")), Ok(vec![a]));
+        let owners: Vec<String> =
+            z.answer_chain(&name("web.example.com")).map(|(o, _)| o.to_string()).collect();
+        assert_eq!(owners, ["web.example.com", "www.example.com"]);
+        assert_eq!(z.answer(&name("cdn.example.com")), Err(DnsErrorCode::ServFail));
+        assert_eq!(z.answer(&name("nosuch.example.com")), Err(DnsErrorCode::NxDomain));
     }
 
     #[test]

@@ -89,19 +89,24 @@ impl Message {
         }
     }
 
-    /// Append an answer record (IN class).
+    /// Append an answer record (IN class). The `add_*` methods keep the
+    /// header's section counts in step, so a built message equals its own
+    /// decoded wire form.
     pub fn add_answer(&mut self, name: DomainName, ttl: u32, rdata: RData) {
         self.answers.push(ResourceRecord::new(name, ttl, rdata));
+        self.header.ancount = self.answers.len() as u16;
     }
 
     /// Append an authority (NS/SOA) record.
     pub fn add_authority(&mut self, name: DomainName, ttl: u32, rdata: RData) {
         self.authority.push(ResourceRecord::new(name, ttl, rdata));
+        self.header.nscount = self.authority.len() as u16;
     }
 
     /// Append an additional (glue) record.
     pub fn add_additional(&mut self, name: DomainName, ttl: u32, rdata: RData) {
         self.additional.push(ResourceRecord::new(name, ttl, rdata));
+        self.header.arcount = self.additional.len() as u16;
     }
 
     /// Set the response code.

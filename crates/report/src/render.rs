@@ -16,12 +16,12 @@ use netprofiler::{
 ///
 /// This is the bit-for-bit comparison surface for the determinism checks:
 /// two runs (any thread counts, profiling on or off) must produce identical
-/// output here. The conservative (f = 10%) analysis is derived from the same
-/// `config` so its scan thread count carries over.
+/// output here. The conservative (f = 10%) analysis shares the f = 5% index
+/// ([`Analysis::with_threshold`]), scan thread count included.
 pub fn render_all(ds: &Dataset, config: AnalysisConfig, seed: u64) -> String {
     let _span = telemetry::span!("report.render_all");
     let a5 = Analysis::new(ds, config);
-    let a10 = Analysis::new(ds, config.with_threshold(0.10));
+    let a10 = a5.with_threshold(0.10);
     let mut out = String::new();
     let mut emit = |id: &str, body: &str| {
         out.push_str("==== ");

@@ -94,7 +94,7 @@ impl ProxySession {
         addrs: &mut Vec<Ipv4Addr>,
     ) -> ProxyFetch {
         let resolver_cfg = dnssim::ResolverConfig::default();
-        let resolver = StubResolver::new(tree, resolver_cfg);
+        let resolver = StubResolver::drawing_per_message(tree, resolver_cfg);
         let mut now = t;
         let mut redirect_host: Option<DomainName> = None;
         let mut bytes_total = 0u64;

