@@ -79,6 +79,25 @@ fn bench_resolution(c: &mut Criterion) {
             })
         });
     }
+    // A fresh resolver per call: every message is new to its wire memo, so
+    // this keeps the codec's first-check cost visible (`full_walk_wire`
+    // measures a warm memo).
+    g.bench_function("full_walk_wire_cold", |b| {
+        let mut rng = SimRng::new(4);
+        let mut i = 0usize;
+        b.iter(|| {
+            let resolver = StubResolver::new(&tree, ResolverConfig::default());
+            let name = &hosts[i % hosts.len()].0;
+            i += 1;
+            black_box(resolver.resolve(
+                name,
+                &NoFaults,
+                SimTime::from_hours(1),
+                &mut rng,
+                &mut LdnsCache::new(),
+            ))
+        })
+    });
     g.bench_function("cache_hit", |b| {
         let resolver = StubResolver::new(&tree, ResolverConfig::default());
         let mut rng = SimRng::new(5);

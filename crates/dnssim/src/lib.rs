@@ -7,9 +7,10 @@
 //! walker share one delegation walk and one rule for reading the answer
 //! ([`Zone::answer`], which follows in-zone CNAME chains).
 //!
-//! With wire fidelity on, every query and response is also round-tripped
+//! With wire fidelity on, queries and responses are also round-tripped
 //! through the `dnswire` RFC 1035 codec and checked against the direct
-//! answer. The codec only checks: it never changes a result or draws from
+//! answer; each distinct message round-trips once per session, and repeats
+//! are identical by construction. The codec only checks: it never changes a result or draws from
 //! the RNG, so a run with it off simulates the same world, bit for bit.
 //!
 //! Fault injection enters through the [`DnsFaults`] trait: the experiment's

@@ -7,11 +7,14 @@
 //! delegation walk and read the authoritative answer through one rule,
 //! [`Zone::answer`].
 //!
-//! With `wire_fidelity` on, every hop additionally round-trips a real
-//! RFC 1035 message through the `dnswire` codec and checks the decoded
-//! message against the direct answer. The check never changes a result:
-//! message IDs are a function of the hop, not RNG draws, so a run with the
-//! codec on is bit-identical to the same run with it off.
+//! With `wire_fidelity` on, the stub's query and each hop's reply are also
+//! real RFC 1035 messages, round-tripped through the `dnswire` codec and
+//! checked against the direct answer. Each distinct message round-trips once per session
+//! (per [`StubResolver`]), and repeats are identical by construction: a
+//! message is a pure function of its qname and hop over a frozen zone tree.
+//! The check never changes a result: message IDs are a function of the
+//! hop, not RNG draws, so a run with the codec on is bit-identical to the
+//! same run with it off.
 
 use crate::faults::DnsFaults;
 use crate::server::authoritative_answer;
@@ -19,6 +22,7 @@ use crate::zones::{Zone, ZoneTree};
 use dnswire::{DomainName, Message, Rcode, RecordType};
 use model::{DnsErrorCode, DnsFailureKind, SimDuration, SimTime};
 use netsim::SimRng;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -65,8 +69,9 @@ pub struct ResolverConfig {
     /// Probability an individual healthy query/response exchange is lost
     /// (background UDP loss; retries usually hide it).
     pub query_loss_prob: f64,
-    /// Round-trip every message through the RFC 1035 codec and check it
-    /// (results are identical on or off).
+    /// Round-trip messages through the RFC 1035 codec and check them: each
+    /// distinct message round-trips once per session, and repeats are
+    /// identical by construction (results are identical on or off).
     pub wire_fidelity: bool,
     pub latency: LatencyModel,
 }
@@ -169,6 +174,11 @@ pub struct StubResolver<'t> {
     config: ResolverConfig,
     /// One RNG draw per message exchanged; see [`Self::drawing_per_message`].
     message_draws: bool,
+    /// Wire fidelity's memo: per qname, which message slots have been
+    /// round-tripped; see [`Self::check_once`].
+    checked: RefCell<HashMap<DomainName, Vec<bool>>>,
+    /// Codec round trips paid so far.
+    round_trips: Cell<u64>,
 }
 
 impl<'t> StubResolver<'t> {
@@ -177,6 +187,8 @@ impl<'t> StubResolver<'t> {
             tree,
             config,
             message_draws: false,
+            checked: RefCell::default(),
+            round_trips: Cell::new(0),
         }
     }
 
@@ -195,6 +207,39 @@ impl<'t> StubResolver<'t> {
 
     pub fn config(&self) -> &ResolverConfig {
         &self.config
+    }
+
+    /// Messages this resolver has round-tripped through the codec: one per
+    /// distinct message slot it has sent, however often it sent it.
+    pub fn wire_round_trips(&self) -> u64 {
+        self.round_trips.get()
+    }
+
+    /// Run wire fidelity's `check` of message `slot` for `qname` (slot 0 is
+    /// the stub's query, slot `i + 1` walk hop `i`) unless this resolver
+    /// already ran it. Skipping a repeat loses nothing: the resolver borrows
+    /// its `&'t ZoneTree`, so the tree is frozen while the memo lives, and
+    /// the query ID, the qname and [`authoritative_answer`] are pure
+    /// functions of `(qname, slot)` over it. A repeat would encode the same
+    /// bytes, and the codec is a pure function. Only slots a lookup reaches
+    /// are marked, so a walk cut short leaves its deeper hops unchecked.
+    fn check_once(&self, qname: &DomainName, slot: usize, check: impl FnOnce()) {
+        {
+            let mut checked = self.checked.borrow_mut();
+            let seen = match checked.get_mut(qname) {
+                Some(seen) => seen,
+                None => checked.entry(qname.clone()).or_default(),
+            };
+            if seen.len() <= slot {
+                seen.resize(slot + 1, false);
+            }
+            if std::mem::replace(&mut seen[slot], true) {
+                return;
+            }
+        }
+        check();
+        self.round_trips.set(self.round_trips.get() + 1);
+        telemetry::counter!("dns.wire_round_trips", 1);
     }
 
     /// Resolve `qname` at instant `t` under `faults`, using (and updating)
@@ -299,7 +344,9 @@ impl<'t> StubResolver<'t> {
         }
         if cfg.wire_fidelity {
             // The stub's recursive query to the LDNS.
-            round_trip(&Message::query(0, qname.clone(), RecordType::A));
+            self.check_once(qname, 0, || {
+                round_trip(&Message::query(0, qname.clone(), RecordType::A));
+            });
         }
 
         // --- LDNS cache --------------------------------------------------
@@ -341,7 +388,8 @@ impl<'t> StubResolver<'t> {
     /// into `elapsed`. `Err` is a failure before any answer (a zone that
     /// never answers, or a misconfigured authoritative zone's error); `Ok`
     /// is the authoritative server's [`Zone::answer`] and its TTL. Wire
-    /// fidelity only adds [`check_reply`] at each hop.
+    /// fidelity only adds [`check_reply`] at each reached hop, once per
+    /// resolver.
     pub(crate) fn walk<F: DnsFaults + ?Sized>(
         &self,
         qname: &DomainName,
@@ -384,7 +432,9 @@ impl<'t> StubResolver<'t> {
                 rng.next_u64();
             }
             if cfg.wire_fidelity {
-                check_reply(self.tree, zone, qname, hop, is_auth);
+                self.check_once(qname, hop + 1, || {
+                    check_reply(self.tree, zone, qname, hop, is_auth)
+                });
             }
         }
         Ok((auth.answer(qname), auth.ttl))
@@ -643,6 +693,60 @@ mod tests {
                 assert_eq!(rng_on.next_u64(), rng_off.next_u64(), "same draws consumed");
             }
         }
+    }
+
+    #[test]
+    fn warm_resolver_round_trips_each_message_once() {
+        let mut t = tree();
+        t.zone_mut(&name("example.com"))
+            .unwrap()
+            .add_cname(name("web.example.com"), name("www.example.com"));
+        let cfg = ResolverConfig {
+            query_loss_prob: 0.0,
+            ..ResolverConfig::default()
+        };
+        let r = StubResolver::new(&t, cfg);
+        let mut rng = SimRng::new(8);
+        let mut cache = LdnsCache::new();
+        let t0 = SimTime::from_hours(1);
+        // The stub's query plus one reply per zone on the delegation chain.
+        let messages = |host: &str| 1 + t.delegation_chain(&name(host)).len() as u64;
+        let iitb_auth = t.authoritative_zone(&name("www.iitb.ac.in")).unwrap().apex.clone();
+        let mut paid = 0;
+        let mut lookup = |host: &str, faults: &dyn DnsFaults, at: SimTime| {
+            let res = r.resolve(&name(host), faults, at, &mut rng, &mut cache);
+            let new = r.wire_round_trips() - paid;
+            paid = r.wire_round_trips();
+            (res, new)
+        };
+
+        let (miss, new) = lookup("www.example.com", &NoFaults, t0);
+        assert!(!miss.from_cache);
+        assert_eq!(new, messages("www.example.com"), "a miss checks every slot");
+        let (hit, new) = lookup("www.example.com", &NoFaults, t0 + SimDuration::from_secs(60));
+        assert!(hit.from_cache);
+        assert_eq!(new, 0, "the cache hit's query was checked by the miss");
+        let (expired, new) = lookup("www.example.com", &NoFaults, t0 + SimDuration::from_secs(8000));
+        assert!(!expired.from_cache);
+        assert_eq!(new, 0, "the walk after TTL expiry repeats the miss's messages");
+        for pass in 0..2 {
+            let (nx, new) = lookup("nosuch.example.com", &NoFaults, t0);
+            assert_eq!(nx.result, Err(DnsFailureKind::ErrorResponse(DnsErrorCode::NxDomain)));
+            let want = if pass == 0 { messages("nosuch.example.com") } else { 0 };
+            assert_eq!(new, want, "NXDOMAIN pass {pass}");
+        }
+        let (alias, new) = lookup("web.example.com", &NoFaults, t0);
+        assert_eq!(alias.result, Ok(vec![Ipv4Addr::new(10, 0, 0, 1)]));
+        assert_eq!(new, messages("web.example.com"), "an alias is its own qname");
+        let (timeout, new) = lookup("www.iitb.ac.in", &LdnsDown, t0);
+        assert_eq!(timeout.result, Err(DnsFailureKind::LdnsTimeout));
+        assert_eq!(new, 0, "no message reached the LDNS");
+        let (partial, new) = lookup("www.iitb.ac.in", &AuthDown(iitb_auth), t0);
+        assert_eq!(partial.result, Err(DnsFailureKind::NonLdnsTimeout));
+        assert_eq!(new, messages("www.iitb.ac.in") - 1, "every slot but the unreached hop");
+        let (full, new) = lookup("www.iitb.ac.in", &NoFaults, t0);
+        assert!(full.result.is_ok());
+        assert_eq!(new, 1, "only the hop the partial walk never reached");
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl fmt::Display for HttpError {
 impl std::error::Error for HttpError {}
 
 /// An HTTP request (headers only; the measurement sends no bodies).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct HttpRequest {
     pub method: String,
     pub path: String,
@@ -124,7 +124,7 @@ impl HttpRequest {
 
 /// An HTTP response (body represented by its length — the measurement only
 /// needs sizes, not content).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct HttpResponse {
     pub status: u16,
     pub reason: String,

@@ -11,6 +11,7 @@ use model::{
 };
 use netsim::SimRng;
 use tcpsim::{classify_trace, count_retransmissions, simulate_connection_into, TcpConfig, Trace};
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 /// wget-level policy knobs.
@@ -42,7 +43,9 @@ pub struct WgetConfig {
     pub dig_on_failure_only: bool,
     /// Bytes of response headers added on the wire around the index object.
     pub header_overhead: u64,
-    /// Round-trip HTTP heads through the text codec.
+    /// Round-trip HTTP heads through the text codec and check that each
+    /// decodes to the message sent: each distinct message round-trips once
+    /// per session, and repeats are identical by construction.
     pub http_wire_fidelity: bool,
     /// The runner wants the provenance sidecar (the fault-provenance flight
     /// recorder), which it projects from each observation's trace.
@@ -156,6 +159,44 @@ fn record_transaction_outcome(obs: &TransactionObservation) {
     }
 }
 
+/// HTTP wire fidelity's memo: the requests and response heads a session has
+/// already round-tripped through the text codec. Messages are keyed by
+/// value, so a repeat would encode the same text, and the codec is a pure
+/// function.
+#[derive(Default)]
+struct HttpWireMemo {
+    requests: HashSet<HttpRequest>,
+    responses: HashSet<HttpResponse>,
+    /// Codec round trips paid so far.
+    round_trips: u64,
+}
+
+impl HttpWireMemo {
+    /// Round-trip `request` and `response` through the text codec, each the
+    /// first time the session sends it, and check that each decodes to the
+    /// message sent.
+    fn check(&mut self, request: &HttpRequest, response: &HttpResponse) {
+        if !self.requests.contains(request) {
+            let decoded = HttpRequest::decode(&request.encode()).expect("own request re-parses");
+            assert_eq!(&decoded, request, "HTTP codec round trip changed a request");
+            self.requests.insert(request.clone());
+            self.paid();
+        }
+        if !self.responses.contains(response) {
+            let decoded =
+                HttpResponse::decode_head(&response.encode_head()).expect("own response re-parses");
+            assert_eq!(&decoded, response, "HTTP codec round trip changed a response head");
+            self.responses.insert(response.clone());
+            self.paid();
+        }
+    }
+
+    fn paid(&mut self) {
+        self.round_trips += 1;
+        telemetry::counter!("http.wire_round_trips", 1);
+    }
+}
+
 /// Per-client measurement state: the LDNS cache the client talks to, the
 /// client's RNG stream, and the wget configuration.
 pub struct ClientSession<'t> {
@@ -174,6 +215,7 @@ pub struct ClientSession<'t> {
     /// Reused hostname rendering buffer (one live allocation per session,
     /// not one per redirect hop).
     host_scratch: String,
+    http_wire: HttpWireMemo,
 }
 
 impl<'t> ClientSession<'t> {
@@ -189,6 +231,7 @@ impl<'t> ClientSession<'t> {
             conn_scratch: Vec::new(),
             trace_buf: Trace::new(),
             host_scratch: String::new(),
+            http_wire: HttpWireMemo::default(),
         }
     }
 
@@ -209,6 +252,12 @@ impl<'t> ClientSession<'t> {
     /// The client's LDNS cache (exposed for tests and cache studies).
     pub fn ldns_cache(&self) -> &LdnsCache {
         &self.cache
+    }
+
+    /// Codec round trips this session has paid: `(DNS, HTTP)` messages,
+    /// one per distinct message sent.
+    pub fn wire_round_trips(&self) -> (u64, u64) {
+        (self.resolver.wire_round_trips(), self.http_wire.round_trips)
     }
 
     /// Run one direct (non-proxied) transaction for `host` starting at `t`.
@@ -301,10 +350,6 @@ impl<'t> ClientSession<'t> {
             }
             let host_str = &self.host_scratch;
             let request = HttpRequest::get(host_str, "/", self.config.no_cache);
-            if self.config.http_wire_fidelity {
-                let text = request.encode();
-                let _ = HttpRequest::decode(&text).expect("own request re-parses");
-            }
             let answer = match env.origin(host_str) {
                 Some(origin) => origin.respond(host_str, &request, &mut self.rng),
                 None => httpsim::OriginAnswer {
@@ -313,8 +358,7 @@ impl<'t> ClientSession<'t> {
                 },
             };
             if self.config.http_wire_fidelity {
-                let text = answer.response.encode_head();
-                let _ = HttpResponse::decode_head(&text).expect("own response re-parses");
+                self.http_wire.check(&request, &answer.response);
             }
             let wire_bytes = answer.response.body_len + self.config.header_overhead;
 
@@ -1106,6 +1150,44 @@ mod tests {
         assert_eq!(trace.events.len(), 1, "the proxy masks the phases");
         assert_eq!(trace.events[0].phase(), "http");
         assert!(!trace.events[0].failed());
+    }
+
+    #[test]
+    fn session_round_trips_each_http_head_once() {
+        let tr = tree();
+        let redirecting = HealthyEnv::new(
+            Origin::simple("www.example.com", 10_000)
+                .with_redirects(vec!["example.com".to_string()]),
+        );
+        let failing =
+            HealthyEnv::new(Origin::simple("www.example.com", 10_000).with_error_rate(1.0, 503));
+        let mut s = session(&tr, 10);
+        let mut paid = 0;
+        let mut access = |s: &mut ClientSession, env: &HealthyEnv, host: &str, k: u64| {
+            let t = SimTime::from_hours(1) + SimDuration::from_secs(k * 120);
+            let obs = s.run_transaction(env, &name(host), t);
+            let (dns, http) = s.wire_round_trips();
+            let new = http - paid;
+            paid = http;
+            (obs.outcome, dns, new)
+        };
+
+        // GET example.com → 302, GET www.example.com → 200: four heads.
+        let (outcome, dns, new) = access(&mut s, &redirecting, "example.com", 0);
+        assert!(outcome.is_success());
+        assert_eq!(new, 4, "two requests, a 302 head and a 200 head");
+        let (outcome, dns_again, new) = access(&mut s, &redirecting, "example.com", 1);
+        assert!(outcome.is_success());
+        assert_eq!((dns_again, new), (dns, 0), "a repeat sends only checked messages");
+        // The 503 answers an already checked request with a new head.
+        for (k, want) in [(2, 1), (3, 0)] {
+            let (outcome, _, new) = access(&mut s, &failing, "www.example.com", k);
+            assert_eq!(outcome.failure(), Some(FailureClass::Http(503)));
+            assert_eq!(new, want, "503 access {k}");
+        }
+        let (outcome, _, new) = access(&mut s, &redirecting, "www.example.com", 4);
+        assert!(outcome.is_success());
+        assert_eq!(new, 0, "the 200 exchange was checked behind the redirect");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cross-crate consistency: the substrates agree with each other when
 //! composed, independent of the workload calibration.
 
-use dnssim::{LdnsCache, NoFaults, ResolverConfig, StubResolver, ZoneTree};
+use dnssim::{DnsFaults, LdnsCache, NoFaults, ResolverConfig, StubResolver, ZoneTree};
 use dnswire::DomainName;
 use model::{SimDuration, SimTime};
 use netsim::SimRng;
@@ -109,9 +109,15 @@ proptest! {
     /// DNS wire fidelity only checks the codec: the whole resolution —
     /// addresses in order, elapsed time, cache use — and the RNG draws it
     /// consumes are identical with the codec on or off, background query
-    /// loss included.
+    /// loss included. One resolver pair serves a whole sequence of lookups
+    /// (misses, cache hits, expiries, NXDOMAIN, LDNS outages and partial
+    /// walks), so lookups whose messages the wire-on resolver has already
+    /// checked are compared too.
     #[test]
-    fn wire_fidelity_never_changes_outcomes(seed in 0u64..2_000, host_idx in 0usize..20) {
+    fn wire_fidelity_never_changes_outcomes(
+        seed in 0u64..2_000,
+        steps in proptest::collection::vec((0usize..21, 0u64..4 * 3600, 0usize..4), 1..24),
+    ) {
         let hosts = hosts();
         let tree = ZoneTree::build_for_hosts(&hosts);
         let on_cfg = ResolverConfig::default();
@@ -119,13 +125,42 @@ proptest! {
         off_cfg.wire_fidelity = false;
         let on = StubResolver::new(&tree, on_cfg);
         let off = StubResolver::new(&tree, off_cfg);
-        let name = &hosts[host_idx].0;
-        let t = SimTime::from_hours(3);
         let (mut rng_on, mut rng_off) = (SimRng::new(seed), SimRng::new(seed));
-        let a = on.resolve(name, &NoFaults, t, &mut rng_on, &mut LdnsCache::new());
-        let b = off.resolve(name, &NoFaults, t, &mut rng_off, &mut LdnsCache::new());
-        prop_assert_eq!(a, b);
+        let (mut cache_on, mut cache_off) = (LdnsCache::new(), LdnsCache::new());
+        let mut t = SimTime::from_hours(3);
+        for (host_idx, gap_s, fault) in steps {
+            let name: DomainName = match hosts.get(host_idx) {
+                Some((name, _)) => name.clone(),
+                None => "www.nosuch.example.com".parse().unwrap(),
+            };
+            t += SimDuration::from_secs(gap_s);
+            let faults = StepFaults {
+                ldns_down: fault == 2,
+                auth_down: (fault == 3)
+                    .then(|| tree.authoritative_zone(&name).map(|z| z.apex.clone()))
+                    .flatten(),
+            };
+            let a = on.resolve(&name, &faults, t, &mut rng_on, &mut cache_on);
+            let b = off.resolve(&name, &faults, t, &mut rng_off, &mut cache_off);
+            prop_assert_eq!(a, b);
+        }
         prop_assert_eq!(rng_on.next_u64(), rng_off.next_u64());
+        prop_assert_eq!(off.wire_round_trips(), 0);
+    }
+}
+
+/// One lookup's faults: the LDNS down, or the qname's authoritative zone.
+struct StepFaults {
+    ldns_down: bool,
+    auth_down: Option<DomainName>,
+}
+
+impl DnsFaults for StepFaults {
+    fn ldns_up(&self, _t: SimTime) -> bool {
+        !self.ldns_down
+    }
+    fn auth_up(&self, zone: &DomainName, _t: SimTime) -> bool {
+        self.auth_down.as_ref() != Some(zone)
     }
 }
 
